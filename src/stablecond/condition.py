@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing as mp
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -65,9 +66,6 @@ class ExperimentReport:
         if not math.isfinite(self.theory_value):
             raise ValueError("theory value must be finite")
 
-    def scale_factor(self, eps: float) -> float:
-        return abs(math.log(eps)) if self.alpha == 1.0 else eps ** (self.alpha - 1.0)
-
     def to_json_dict(self) -> dict:
         return {
             "params": {"alpha": self.alpha, "d": self.d},
@@ -104,11 +102,15 @@ def _harmonic(set_, X, p: StableParams) -> np.ndarray:
     return pot.plane_harmonic_many(set_, X, p)
 
 
-def _map_blocks(fn, n_blocks: int, workers: int) -> list:
+@contextmanager
+def _block_map(n_blocks: int, workers: int):
+    """Yields ``map_blocks(fn) -> [fn(0), ..., fn(n_blocks - 1)]``; one
+    worker pool serves every call made within the context."""
     if workers <= 1 or n_blocks <= 1:
-        return [fn(b) for b in range(n_blocks)]
+        yield lambda fn: [fn(b) for b in range(n_blocks)]
+        return
     with mp.Pool(processes=workers) as pool:
-        return pool.map(fn, range(n_blocks), chunksize=1)
+        yield lambda fn: pool.map(fn, range(n_blocks), chunksize=1)
 
 
 def _block_sizes(n_paths: int, block: int = BLOCK_SIZE) -> list[int]:
@@ -124,35 +126,13 @@ def _bernoulli_estimate(hits: int, n: int, seed: int) -> MCEstimate:
 
 # -- h-transform weight ------------------------------------------------------
 
-def h_weight(path: sim.PathGrid, S: geo.CapSet, t_index: int,
-             p: StableParams) -> float:
-    """Doob weight H_S(X_t) / H_S(X_0) along one path.
-
-    Returns the inf sentinel when the path point is within 1e-9 of S
-    (overflow flag) instead of attempting the kernel evaluation.
-    """
-    p.require_conditioning()
-    if not 0 <= t_index < len(path):
-        raise ValueError("t_index outside the path")
-    x0 = path.positions[0]
-    xt = path.positions[t_index]
-    if geo.euclidean_distance_to_shell(S, xt) < pot.SINGULARITY_CUTOFF:
-        return math.inf
-    pts = np.stack([x0, xt])
-    vals = pot.sphere_harmonic_many(S, pts, p)
-    return float(vals[1] / vals[0])
-
-
 def _martingale_block(b: int, sizes, master_seed, p, S, x0, n_steps, h, stop_dist):
     rng = sim.rng_for_block(master_seed, b)
     m = sizes[b]
     x = np.tile(np.asarray(x0, dtype=float), (m, 1))
-    alive = np.arange(m)
-    for _ in range(n_steps):
-        if alive.size:
-            x[alive] += sim.sample_increment(p, h, rng, alive.size)
-            dist = geo.euclidean_distance_to_shell_many(S, x[alive])
-            alive = alive[dist >= stop_dist]  # freeze paths that reached S
+    # freeze paths that reached S (a NaN distance freezes too)
+    sim.run_paths(p, x, h, n_steps, rng, lambda k, alive, x: ~(
+        geo.euclidean_distance_to_shell_many(S, x[alive]) >= stop_dist))
     dist = geo.euclidean_distance_to_shell_many(S, x)
     ok = dist >= pot.SINGULARITY_CUTOFF
     w = np.zeros(m)
@@ -175,7 +155,8 @@ def martingale_check(p: StableParams, S: geo.CapSet, x0, t: float,
     n_steps = max(1, round(t / h))
     fn = partial(_martingale_block, sizes=sizes, master_seed=seed, p=p, S=S,
                  x0=tuple(x0), n_steps=n_steps, h=h, stop_dist=stop_dist)
-    res = _map_blocks(fn, len(sizes), workers)
+    with _block_map(len(sizes), workers) as map_blocks:
+        res = map_blocks(fn)
     h0 = pot.sphere_harmonic(S, x0, p)
     sum_w = math.fsum(r[0] for r in res) / h0
     sum_w2 = math.fsum(r[1] for r in res) / h0 ** 2
@@ -196,19 +177,15 @@ def _hit_block(b: int, sizes, master_seed, p, stop_target, monitor_target,
     ever hit monitor, first monitor entry inside stop target, censored)."""
     rng = sim.rng_for_block(master_seed, b)
     m = sizes[b]
-    x = np.tile(np.asarray(x0, dtype=float), (m, 1))
-    hit_stop = np.zeros(m, dtype=bool)
-    hit_mon = np.zeros(m, dtype=bool)
-    first_in_stop = np.zeros(m, dtype=bool)
-    alive = np.arange(m)
     if geo.in_target(x0, stop_target):
         return m, m, m, 0
-    if monitor_target is not None and geo.in_target(x0, monitor_target):
-        hit_mon[:] = True
-    for _ in range(n_steps):
-        if alive.size == 0:
-            break
-        x[alive] += sim.sample_increment(p, h, rng, alive.size)
+    x = np.tile(np.asarray(x0, dtype=float), (m, 1))
+    hit_stop = np.zeros(m, dtype=bool)
+    hit_mon = np.full(m, monitor_target is not None
+                      and geo.in_target(x0, monitor_target))
+    first_in_stop = np.zeros(m, dtype=bool)
+
+    def stop(k, alive, x):
         sub = x[alive]
         inside = geo.in_target_many(sub, stop_target)
         if monitor_target is not None:
@@ -216,9 +193,10 @@ def _hit_block(b: int, sizes, master_seed, p, stop_target, monitor_target,
             idx = alive[entered]
             hit_mon[idx] = True
             first_in_stop[idx] = inside[entered]
-        gone = np.linalg.norm(sub, axis=1) > r_far
         hit_stop[alive[inside]] = True
-        alive = alive[~(inside | gone)]
+        return inside | (np.linalg.norm(sub, axis=1) > r_far)
+
+    alive = sim.run_paths(p, x, h, n_steps, rng, stop)
     return (int(hit_stop.sum()), int(hit_mon.sum()),
             int(first_in_stop.sum()), int(alive.size))
 
@@ -227,6 +205,26 @@ def _make_target(set_, eps: float, delta: float) -> geo.Target:
     if isinstance(set_, geo.CapSet):
         return geo.shell(set_, eps, delta)
     return geo.slab(set_, eps, delta)
+
+
+def _hit_levels(p, stop_set, monitor_set, x, eps_grid, n_paths, h, h_rule,
+                seed, workers, r_far, horizon):
+    """Per eps level, in grid order: (eps, level seed, totals over blocks of
+    the four ``_hit_block`` counts).  One worker pool serves all levels."""
+    sizes = _block_sizes(n_paths)
+    with _block_map(len(sizes), workers) as map_blocks:
+        for i, eps in enumerate(eps_grid):
+            he = h if h is not None else eps / h_rule
+            stop_target = _make_target(stop_set, eps, 0.0)
+            sim.check_resolution(he, stop_target)
+            monitor_target = (None if monitor_set is None
+                              else _make_target(monitor_set, eps, 0.0))
+            fn = partial(_hit_block, sizes=sizes, master_seed=seed + 1000 * i,
+                         p=p, stop_target=stop_target,
+                         monitor_target=monitor_target, x0=tuple(x), h=he,
+                         n_steps=int(math.ceil(horizon / he)), r_far=r_far)
+            res = map_blocks(fn)
+            yield eps, seed + 1000 * i, [sum(col) for col in zip(*res)]
 
 
 def _hitting_theory(p: StableParams, set_, x):
@@ -261,19 +259,12 @@ def hitting_experiment(p: StableParams, set_, x, eps_grid, n_paths: int,
         horizon = 10.0 * r_far ** p.alpha
     theory, source, alt, hval = _hitting_theory(p, set_, x)
     estimates, scaled, censored = [], [], []
-    for i, eps in enumerate(eps_grid):
-        he = h if h is not None else eps / h_rule
-        target = _make_target(set_, eps, 0.0)
-        sim.check_resolution(he, target)
-        sizes = _block_sizes(n_paths)
-        fn = partial(_hit_block, sizes=sizes, master_seed=seed + 1000 * i, p=p,
-                     stop_target=target, monitor_target=None, x0=tuple(x),
-                     h=he, n_steps=int(math.ceil(horizon / he)), r_far=r_far)
-        res = _map_blocks(fn, len(sizes), workers)
-        hits = sum(r[0] for r in res)
-        est = _bernoulli_estimate(hits, n_paths, seed + 1000 * i)
+    for eps, lvl_seed, (hits, _, _, live) in _hit_levels(
+            p, set_, None, x, eps_grid, n_paths, h, h_rule, seed, workers,
+            r_far, horizon):
+        est = _bernoulli_estimate(hits, n_paths, lvl_seed)
         estimates.append(est)
-        censored.append(sum(r[3] for r in res) / n_paths)
+        censored.append(live / n_paths)
         sf = abs(math.log(eps)) if p.is_log_case else eps ** (p.alpha - 1.0)
         scaled.append(sf * est.value)
     report = ExperimentReport(
@@ -313,23 +304,13 @@ def strike_experiment(p: StableParams, set_big, set_sub, x, eps_grid,
     h_sub = _harmonic(set_sub, x[None, :], p)[0]
     theory = float(h_sub / h_big)
     estimates, scaled, degenerate, raw, ever_ratio = [], [], [], [], []
-    for i, eps in enumerate(eps_grid):
-        he = h if h is not None else eps / h_rule
-        inner = _make_target(set_sub, eps, 0.0)
-        outer = _make_target(set_big, eps, 0.0)
-        sim.check_resolution(he, inner)
-        sizes = _block_sizes(n_paths)
-        fn = partial(_hit_block, sizes=sizes, master_seed=seed + 1000 * i, p=p,
-                     stop_target=inner, monitor_target=outer, x0=tuple(x),
-                     h=he, n_steps=int(math.ceil(horizon / he)), r_far=r_far)
-        res = _map_blocks(fn, len(sizes), workers)
-        hits_inner = sum(r[0] for r in res)
-        hits_outer = sum(r[1] for r in res)
-        first_strikes = sum(r[2] for r in res)
+    for eps, lvl_seed, (hits_inner, hits_outer, first_strikes, _) in _hit_levels(
+            p, set_sub, set_big, x, eps_grid, n_paths, h, h_rule, seed,
+            workers, r_far, horizon):
         raw.append((hits_inner, hits_outer, first_strikes))
         if hits_outer == 0:
             degenerate.append(eps)
-            estimates.append(MCEstimate(math.nan, math.nan, n_paths, seed + 1000 * i))
+            estimates.append(MCEstimate(math.nan, math.nan, n_paths, lvl_seed))
             scaled.append(math.nan)
             ever_ratio.append(math.nan)
             continue
@@ -338,7 +319,7 @@ def strike_experiment(p: StableParams, set_big, set_sub, x, eps_grid,
         # finite eps and is reported alongside
         ratio = first_strikes / hits_outer
         se = math.sqrt(max(ratio * (1.0 - ratio), 0.0) / hits_outer)
-        estimates.append(MCEstimate(ratio, se, hits_outer, seed + 1000 * i))
+        estimates.append(MCEstimate(ratio, se, hits_outer, lvl_seed))
         scaled.append(ratio)
         ever_ratio.append(hits_inner / hits_outer)
     return ExperimentReport(
@@ -403,7 +384,11 @@ def _sample_eta_window(S, win: Window, p, rng, m: int, hmax: float) -> np.ndarra
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         rad = win.radius * rng.random(todo) ** (1.0 / p.d)
         xs = np.asarray(win.center) + rad[:, None] * g
-        acc = rng.random(todo) * bound <= pot.sphere_harmonic_many(S, xs, p)
+        hv = pot.sphere_harmonic_many(S, xs, p)
+        if hv.max() > bound:
+            raise ValueError(f"H_S = {hv.max():.6g} on the window exceeds the "
+                             f"rejection envelope 1.1 * hmax = {bound:.6g}")
+        acc = rng.random(todo) * bound <= hv
         got = xs[acc]
         out[filled:filled + len(got)] = got
         filled += len(got)
@@ -417,8 +402,8 @@ def _duality_block(b, sizes, master_seed, p, S, win_from, win_to, t, h,
     xs = _sample_eta_window(S, win_from, p, rng, m, hmax)
     steps = 1 if h is None else max(1, round(t / h))
     xt = xs.copy()
-    for _ in range(steps):
-        xt += sim.sample_increment(p, t / steps, rng, m)
+    sim.run_paths(p, xt, t / steps, steps, rng,
+                  lambda k, alive, x: np.zeros(alive.size, dtype=bool))
     vals = win_from(xs) * win_to(xt)
     if weighted:
         mask = vals != 0.0
@@ -461,17 +446,17 @@ def duality_experiment(p: StableParams, S: geo.CapSet, window_f: Window,
     mass_f, hmax_f = _eta_mass(S, window_f, p)
     sizes = _block_sizes(n_paths)
 
-    fn = partial(_duality_block, sizes=sizes, master_seed=seed, p=p, S=S,
-                 win_from=window_g, win_to=window_f, t=t, h=h,
-                 hmax=hmax_g, weighted=False)
-    res = _map_blocks(fn, len(sizes), workers)
-    lhs = _mean_estimate(res, n_paths, mass_g, seed)
-
-    fn = partial(_duality_block, sizes=sizes, master_seed=seed + 77_000, p=p,
-                 S=S, win_from=window_f, win_to=window_g, t=t, h=h,
-                 hmax=hmax_f, weighted=True)
-    res = _map_blocks(fn, len(sizes), workers)
-    rhs = _mean_estimate(res, n_paths, mass_f, seed + 77_000)
+    with _block_map(len(sizes), workers) as map_blocks:
+        res = map_blocks(partial(
+            _duality_block, sizes=sizes, master_seed=seed, p=p, S=S,
+            win_from=window_g, win_to=window_f, t=t, h=h, hmax=hmax_g,
+            weighted=False))
+        lhs = _mean_estimate(res, n_paths, mass_g, seed)
+        res = map_blocks(partial(
+            _duality_block, sizes=sizes, master_seed=seed + 77_000, p=p, S=S,
+            win_from=window_f, win_to=window_g, t=t, h=h, hmax=hmax_f,
+            weighted=True))
+        rhs = _mean_estimate(res, n_paths, mass_f, seed + 77_000)
     return lhs, rhs
 
 
@@ -496,15 +481,14 @@ def _occupation_block(b, sizes, master_seed, p, x0, center, radius, h,
     m = sizes[b]
     x = np.tile(np.asarray(x0, dtype=float), (m, 1))
     occ = np.zeros(m)
-    alive = np.arange(m)
     cen = np.asarray(center, dtype=float)
-    for _ in range(n_steps):
-        if alive.size == 0:
-            break
-        x[alive] += sim.sample_increment(p, h, rng, alive.size)
+
+    def stop(k, alive, x):
         sub = x[alive]
         occ[alive] += h * (np.linalg.norm(sub - cen, axis=1) <= radius)
-        alive = alive[np.linalg.norm(sub, axis=1) <= r_far]
+        return ~(np.linalg.norm(sub, axis=1) <= r_far)
+
+    sim.run_paths(p, x, h, n_steps, rng, stop)
     return float(occ.sum()), float((occ ** 2).sum())
 
 
@@ -518,7 +502,8 @@ def occupation_check(p: StableParams, x, center, radius: float, n_paths: int,
     fn = partial(_occupation_block, sizes=sizes, master_seed=seed, p=p,
                  x0=tuple(np.asarray(x, dtype=float)), center=tuple(center),
                  radius=radius, h=h, n_steps=int(horizon / h), r_far=r_far)
-    res = _map_blocks(fn, len(sizes), workers)
+    with _block_map(len(sizes), workers) as map_blocks:
+        res = map_blocks(fn)
     est = _mean_estimate(res, n_paths, 1.0, seed)
     b = float(np.linalg.norm(np.asarray(x, float) - np.asarray(center, float)))
     theory = pot.constants(p).potential_const * pot.riesz_ball_integral(b, radius, p)
@@ -531,20 +516,20 @@ def _reversal_block(b, sizes, master_seed, p, S, r_exit, h, n_steps, r_far,
                     bin_edges, clip, guard):
     rng = sim.rng_for_block(master_seed, b)
     m = sizes[b]
-    x0 = geo.sample_boundary(S, rng, m)
+    x = geo.sample_boundary(S, rng, m)
+    # pos[i, k] is written for k <= end[i], the only entries read below
     pos = np.empty((m, n_steps + 1, p.d))
-    pos[:, 0, :] = x0
-    alive = np.arange(m)
+    pos[:, 0, :] = x
     end = np.full(m, n_steps, dtype=int)
-    for k in range(1, n_steps + 1):
-        pos[:, k, :] = pos[:, k - 1, :]
-        if alive.size:
-            pos[alive, k, :] += sim.sample_increment(p, h, rng, alive.size)
-            r = np.linalg.norm(pos[alive, k, :], axis=1)
-            gone = r > r_far
-            end[alive[gone]] = k
-            alive = alive[~gone]
-    truncated = int(alive.size)  # horizon reached before far field
+
+    def stop(k, alive, x):
+        pos[:, k, :] = x
+        gone = np.linalg.norm(x[alive], axis=1) > r_far
+        end[alive[gone]] = k
+        return gone
+
+    # paths live at the end reached the horizon before the far field
+    truncated = int(sim.run_paths(p, x, h, n_steps, rng, stop).size)
     nb = len(bin_edges) - 1
     cnt = np.zeros(nb, dtype=int)
     ssum = np.zeros(nb)
@@ -606,7 +591,8 @@ def reversal_experiment(p: StableParams, S: geo.CapSet, r_exit: float = 2.0,
     fn = partial(_reversal_block, sizes=sizes, master_seed=seed, p=p, S=S,
                  r_exit=r_exit, h=h, n_steps=n_steps, r_far=r_far,
                  bin_edges=bin_edges, clip=clip, guard=guard)
-    res = _map_blocks(fn, len(sizes), workers)
+    with _block_map(len(sizes), workers) as map_blocks:
+        res = map_blocks(fn)
     nb = n_bins
     cnt = np.sum([r[0] for r in res], axis=0)
     ssum = np.sum([r[1] for r in res], axis=0)

@@ -3,52 +3,21 @@
 Increments are exactly isotropic: a Gaussian vector evaluated at an
 independent positive-stable subordinator time, so that one step of
 length h has characteristic function exp(-h |theta|^alpha) for every h.
-Hit detection is grid-point membership; there is no bridge interpolation
-between grid points, and the resulting one-sided bias is quantified by
-refinement studies rather than corrected.
+Every experiment steps its paths in blocks through ``run_paths``, with a
+stop callback that records what the experiment observes and says which
+paths to freeze.  Hit detection is grid-point membership; there is no
+bridge interpolation between grid points, and the resulting one-sided
+bias is quantified by refinement studies rather than corrected.
 """
 
 from __future__ import annotations
 
 import math
-import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry as geo
 from .potential import StableParams
-
-
-@dataclass(frozen=True)
-class PathGrid:
-    """A discretised path: uniform step h, positions (n+1, d), provenance."""
-
-    h: float
-    positions: np.ndarray
-    x0: np.ndarray
-    seed: int
-    stopped_reason: str  # "horizon" | "far_field" | "target_hit" | "none"
-
-    def __post_init__(self):
-        if self.h <= 0.0:
-            raise ValueError("step h must be positive")
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
-        if len(pos) < 1 or not np.array_equal(pos[0], self.x0):
-            raise ValueError("positions must start at x0")
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-
-@dataclass(frozen=True)
-class HitRecord:
-    hit: bool
-    hit_index: int | None
-    hit_position: np.ndarray | None
-    elapsed: float
 
 
 def rng_for_block(master_seed: int, block_index: int) -> np.random.Generator:
@@ -77,123 +46,47 @@ def sample_positive_stable(beta: float, rng: np.random.Generator,
 
 
 def sample_increment(p: StableParams, h: float, rng: np.random.Generator,
-                     size: int | None = None):
-    """Increment(s) of the stable process over one step of length h.
+                     size: int) -> np.ndarray:
+    """``size`` increments (size, d) of the stable process over one step
+    of length h.
 
     E exp(i theta . Delta) = exp(-h |theta|^alpha): a N(0, 2 S I_d) draw
     with S a positive alpha/2-stable subordinator time scaled by h^(2/alpha).
     """
     if h <= 0.0:
         raise ValueError("step h must be positive")
-    n = 1 if size is None else size
-    s = h ** (2.0 / p.alpha) * sample_positive_stable(p.alpha / 2.0, rng, n)
-    z = rng.standard_normal((n, p.d))
-    out = np.sqrt(2.0 * s)[:, None] * z
-    return out[0] if size is None else out
+    s = h ** (2.0 / p.alpha) * sample_positive_stable(p.alpha / 2.0, rng, size)
+    z = rng.standard_normal((size, p.d))
+    return np.sqrt(2.0 * s)[:, None] * z
 
 
-def check_resolution(h: float, target: geo.Target | None):
+def check_resolution(h: float, target: geo.Target):
     """Grid step must resolve the target thickness: h <= eps / 4."""
-    if target is not None and h > target.eps / 4.0 + 1e-15:
+    if h > target.eps / 4.0 + 1e-15:
         raise ValueError(
             f"step h={h} too coarse for target half-width eps={target.eps}; "
             f"need h <= eps/4")
 
 
-def simulate_path(p: StableParams, x0, h: float, horizon: float,
-                  far_field: float, target: geo.Target | None = None,
-                  rng: np.random.Generator | None = None,
-                  seed: int | None = None) -> tuple[PathGrid, HitRecord]:
-    """Walk one path until the target is hit, the horizon elapses, or the
-    position leaves the far-field ball (transience truncation).
+def run_paths(p: StableParams, x: np.ndarray, h: float, n_steps: int,
+              rng: np.random.Generator, stop) -> np.ndarray:
+    """Step the block of paths ``x`` (m, d) in place, for at most n_steps.
 
-    Deterministic given ``seed``; pass exactly one of rng / seed.
+    Step k (from 1) draws one increment per live path, in path order, adds
+    it, and calls ``stop(k, alive, x)`` with the indices of the paths just
+    stepped.  The callback records what its experiment observes and returns
+    a boolean mask over ``alive`` of the paths to freeze; a frozen path
+    keeps its position and draws nothing more.  The loop ends at the
+    horizon or when no path is live.  Returns the indices of the paths
+    still live after the last step.
     """
-    if (rng is None) == (seed is None):
-        raise ValueError("pass exactly one of rng or seed")
-    if horizon <= 0.0 or far_field <= 0.0:
-        raise ValueError("horizon and far_field must be positive")
-    check_resolution(h, target)
-    if rng is None:
-        rng = rng_for_block(seed, 0)
-        recorded_seed = seed
-    else:
-        recorded_seed = -1
-    x0 = np.asarray(x0, dtype=float)
-    if x0.size != p.d:
-        raise ValueError("x0 dimension does not match params")
-    n_steps = int(math.ceil(horizon / h))
-    positions = [x0.copy()]
-    reason = "horizon"
-    hit = HitRecord(False, None, None, 0.0)
-    if target is not None and geo.in_target(x0, target):
-        return (PathGrid(h, np.array(positions), x0, recorded_seed, "target_hit"),
-                HitRecord(True, 0, x0.copy(), 0.0))
-    x = x0.copy()
+    alive = np.arange(len(x))
     for k in range(1, n_steps + 1):
-        x = x + sample_increment(p, h, rng)
-        positions.append(x.copy())
-        if target is not None and geo.in_target(x, target):
-            reason = "target_hit"
-            hit = HitRecord(True, k, x.copy(), k * h)
+        if alive.size == 0:
             break
-        if float(np.linalg.norm(x)) > far_field:
-            reason = "far_field"
-            break
-    grid = PathGrid(h, np.array(positions), x0, recorded_seed, reason)
-    if not hit.hit:
-        hit = HitRecord(False, None, None, (len(grid) - 1) * h)
-    return grid, hit
-
-
-def detect_entry(path: PathGrid, beta: float,
-                 normal=None) -> HitRecord:
-    """First grid index inside the annulus 1/beta < |x| < beta (beta > 1),
-    or, when a unit normal is given, inside the slab |(v, x)| < beta."""
-    pos = path.positions
-    if normal is None:
-        if beta <= 1.0:
-            raise ValueError("annulus detection requires beta > 1")
-        r = np.linalg.norm(pos, axis=1)
-        inside = (r > 1.0 / beta) & (r < beta)
-    else:
-        if beta <= 0.0:
-            raise ValueError("slab detection requires beta > 0")
-        v = np.asarray(geo.unit_vector(normal))
-        inside = np.abs(pos @ v) < beta
-    idx = np.nonzero(inside)[0]
-    if idx.size == 0:
-        return HitRecord(False, None, None, (len(path) - 1) * path.h)
-    k = int(idx[0])
-    return HitRecord(True, k, pos[k].copy(), k * path.h)
-
-
-def occupation_time(path: PathGrid, center, r: float) -> float:
-    """h times the number of grid points inside the ball B(center, r)."""
-    if r <= 0.0:
-        raise ValueError("ball radius must be positive")
-    center = np.asarray(center, dtype=float)
-    inside = np.linalg.norm(path.positions - center, axis=1) <= r
-    return path.h * float(inside.sum())
-
-
-def write_path(path: PathGrid, p: StableParams, fileobj):
-    """Binary dump: little-endian header (alpha f64, d u32, h f64, seed u64,
-    n u64) followed by n*d coordinate f64s."""
-    pos = path.positions
-    n, d = pos.shape
-    fileobj.write(struct.pack("<dIdQQ", p.alpha, d, path.h,
-                              path.seed & 0xFFFFFFFFFFFFFFFF, n))
-    fileobj.write(pos.astype("<f8").tobytes())
-
-
-def read_path(fileobj) -> tuple[PathGrid, StableParams]:
-    header = fileobj.read(struct.calcsize("<dIdQQ"))
-    alpha, d, h, seed, n = struct.unpack("<dIdQQ", header)
-    data = np.frombuffer(fileobj.read(8 * n * d), dtype="<f8").reshape(n, d)
-    grid = PathGrid(h, data.copy(), data[0].copy(), seed,
-                    "none")
-    return grid, StableParams(alpha, d)
+        x[alive] += sample_increment(p, h, rng, alive.size)
+        alive = alive[~stop(k, alive, x)]
+    return alive
 
 
 def reentry_probability(p: StableParams, r_far: float = 50.0,
@@ -205,16 +98,13 @@ def reentry_probability(p: StableParams, r_far: float = 50.0,
     rng = rng_for_block(seed, 0)
     g = rng.standard_normal((n_paths, p.d))
     x = r_far * g / np.linalg.norm(g, axis=1, keepdims=True)
-    alive = np.ones(n_paths, dtype=bool)
     reentered = np.zeros(n_paths, dtype=bool)
-    for _ in range(int(horizon / h)):
-        idx = np.nonzero(alive)[0]
-        if idx.size == 0:
-            break
-        x[idx] += sample_increment(p, h, rng, idx.size)
-        r = np.linalg.norm(x[idx], axis=1)
+
+    def stop(k, alive, x):
+        r = np.linalg.norm(x[alive], axis=1)
         back = r < annulus
-        gone = r > 10.0 * r_far
-        reentered[idx[back]] = True
-        alive[idx[back | gone]] = False
+        reentered[alive[back]] = True
+        return back | (r > 10.0 * r_far)
+
+    run_paths(p, x, h, int(horizon / h), rng, stop)
     return float(reentered.mean())

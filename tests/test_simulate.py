@@ -1,10 +1,10 @@
-import io
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from stablecond import condition as cond
 from stablecond import geometry as ge
 from stablecond import simulate as sim
 from stablecond.potential import StableParams
@@ -94,41 +94,73 @@ def test_increment_independence_permutation():
     assert (count + 1) / (n_perm + 1) > 0.01
 
 
-def test_simulate_path_trivial_cases():
+def _hit_run(p, x0, h, n_steps, T, rng, m=1, r_far=50.0):
+    """m paths from x0, each frozen on entering T or leaving B(0, r_far):
+    (hit mask, positions, indices live at the horizon)."""
+    x = np.tile(np.asarray(x0, dtype=float), (m, 1))
+    hit = np.zeros(m, dtype=bool)
+
+    def stop(k, alive, x):
+        sub = x[alive]
+        inside = ge.in_target_many(sub, T)
+        hit[alive[inside]] = True
+        return inside | (np.linalg.norm(sub, axis=1) > r_far)
+
+    return hit, x, sim.run_paths(p, x, h, n_steps, rng, stop)
+
+
+def test_run_paths_trivial_cases(monkeypatch):
     p = StableParams(0.5, 2)
-    T = ge.shell(ge.CapSet.full_sphere(2), 0.2)
-    grid, hit = sim.simulate_path(p, (1.0, 0.0), 0.05, 5.0, 50.0, T, seed=1)
-    assert hit.hit and hit.hit_index == 0 and grid.stopped_reason == "target_hit"
-    grid, hit = sim.simulate_path(p, (2.0, 0.0), 0.05, 2.0, 50.0, None, seed=2)
-    assert grid.stopped_reason in ("horizon", "far_field")
-    assert not hit.hit
+    draws = []
+    draw = sim.sample_increment
+
+    def counted(p, h, rng, size):
+        draws.append(size)
+        return draw(p, h, rng, size)
+
+    monkeypatch.setattr(sim, "sample_increment", counted)
+    # every path draws one increment per step until it is frozen
+    x = np.tile([2.0, 0.0], (200, 1))
+    frozen_at = np.full(200, 40)
+
+    def stop(k, alive, x):
+        gone = np.linalg.norm(x[alive], axis=1) > 3.0
+        frozen_at[alive[gone]] = k
+        return gone
+
+    live = sim.run_paths(p, x, 0.05, 40, sim.rng_for_block(2, 0), stop)
+    assert 0 < live.size < 200
+    assert np.all(np.linalg.norm(x[live], axis=1) <= 3.0)
+    assert np.all(frozen_at[live] == 40)
+    assert draws[0] == 200 and sum(draws) == frozen_at.sum()
+    # a block that starts inside the target is all hits and draws nothing
+    draws.clear()
+    rep = cond.hitting_experiment(p, ge.CapSet.full_sphere(2), (1.1, 0.0), [0.2],
+                                  n_paths=100, seed=1)
+    assert rep.estimates[0].value == 1.0
+    assert rep.extras["horizon_censored_fraction"] == [0.0]
+    assert draws == []
 
 
-def test_simulate_path_deterministic():
+def test_resolution_rule():
     p = StableParams(0.5, 2)
-    T = ge.shell(ge.CapSet.full_sphere(2), 0.2)
-    g1, h1 = sim.simulate_path(p, (2.0, 0.0), 0.05, 20.0, 50.0, T, seed=99)
-    g2, h2 = sim.simulate_path(p, (2.0, 0.0), 0.05, 20.0, 50.0, T, seed=99)
-    assert np.array_equal(g1.positions, g2.positions)
-    assert h1.hit == h2.hit and h1.hit_index == h2.hit_index
-
-
-def test_simulate_path_resolution_rule():
-    p = StableParams(0.5, 2)
-    T = ge.shell(ge.CapSet.full_sphere(2), 0.1)
-    with pytest.raises(ValueError):
-        sim.simulate_path(p, (2.0, 0.0), 0.05, 5.0, 50.0, T, seed=1)
+    with pytest.raises(ValueError, match="too coarse"):
+        cond.hitting_experiment(p, ge.CapSet.full_sphere(2), (2.0, 0.0), [0.1],
+                                n_paths=10, h=0.05, seed=1)
 
 
 def test_hit_record_invariant():
+    # a path frozen by the target stays where it entered: inside T
     p = StableParams(0.5, 2)
     T = ge.shell(ge.CapSet.full_sphere(2), 0.2)
-    for seed in range(6):
-        grid, hit = sim.simulate_path(p, (1.5, 0.0), 0.05, 40.0, 50.0, T, seed=seed)
-        if hit.hit:
-            assert hit.hit_index is not None
-            assert ge.in_target(hit.hit_position, T)
-            assert np.array_equal(grid.positions[hit.hit_index], hit.hit_position)
+    hit, x, live = _hit_run(p, (1.5, 0.0), 0.05, 800, T, sim.rng_for_block(0, 0),
+                            m=256)
+    assert 0 < hit.sum() < 256
+    assert ge.in_target_many(x[hit], T).all()
+    assert not np.isin(live, np.nonzero(hit)[0]).any()
+    gone = ~hit
+    gone[live] = False
+    assert np.all(np.linalg.norm(x[gone], axis=1) > 50.0)
 
 
 def test_refinement_one_sided():
@@ -140,53 +172,13 @@ def test_refinement_one_sided():
         T = ge.shell(ge.CapSet.full_sphere(2), 0.2)
         hits = 0
         for k in range(n):
-            _, hit = sim.simulate_path(p, (1.5, 0.0), h, 30.0, 50.0, T, seed=1000 + k)
-            hits += hit.hit
+            # one path per run, on the stream of block 0 of seed 1000 + k
+            hit, _, _ = _hit_run(p, (1.5, 0.0), h, int(math.ceil(30.0 / h)), T,
+                                 sim.rng_for_block(1000 + k, 0))
+            hits += int(hit[0])
         freqs.append(hits / n)
     se = math.sqrt(2 * freqs[0] * (1 - freqs[0]) / n)
     assert freqs[1] >= freqs[0] - 4 * se
-
-
-def test_detect_entry():
-    pos = np.array([[3.0, 0.0], [2.0, 0.0], [1.2, 0.0], [0.2, 0.0]])
-    path = sim.PathGrid(0.1, pos, pos[0], 0, "none")
-    rec = sim.detect_entry(path, 1.5)
-    assert rec.hit and rec.hit_index == 2
-    rec0 = sim.detect_entry(sim.PathGrid(0.1, pos[2:], pos[2], 0, "none"), 1.5)
-    assert rec0.hit_index == 0
-    none = sim.detect_entry(sim.PathGrid(0.1, pos[:2], pos[0], 0, "none"), 1.5)
-    assert not none.hit
-    # widening the annulus never delays detection
-    r1 = sim.detect_entry(path, 1.3)
-    r2 = sim.detect_entry(path, 2.5)
-    assert r2.hit_index <= r1.hit_index
-    # slab mode
-    rec_slab = sim.detect_entry(path, 0.5, normal=(0.0, 1.0))
-    assert rec_slab.hit_index == 0
-    with pytest.raises(ValueError):
-        sim.detect_entry(path, 0.9)
-
-
-def test_occupation_time():
-    pos = np.array([[5.0, 0.0], [5.1, 0.0], [5.2, 0.0]])
-    path = sim.PathGrid(0.1, pos, pos[0], 0, "none")
-    assert sim.occupation_time(path, (0.0, 0.0), 1.0) == 0.0
-    inside = np.tile([0.1, 0.0], (7, 1))
-    path2 = sim.PathGrid(0.25, inside, inside[0], 0, "none")
-    assert sim.occupation_time(path2, (0.0, 0.0), 1.0) == pytest.approx(7 * 0.25)
-    with pytest.raises(ValueError):
-        sim.occupation_time(path2, (0.0, 0.0), 0.0)
-
-
-def test_path_io_roundtrip():
-    p = StableParams(0.7, 3)
-    grid, _ = sim.simulate_path(p, (1.0, 1.0, 0.0), 0.05, 2.0, 50.0, None, seed=5)
-    buf = io.BytesIO()
-    sim.write_path(grid, p, buf)
-    buf.seek(0)
-    grid2, p2 = sim.read_path(buf)
-    assert np.array_equal(grid.positions, grid2.positions)
-    assert grid2.h == grid.h and p2 == p and grid2.seed == grid.seed
 
 
 def test_far_field_reentry_probability():
