@@ -16,6 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import potential as pot
+from .condition import Report
 from .potential import StableParams, quad_endpoint_singular
 from .specfun import gamma_ratio, gauss_2f1, lobachevsky
 
@@ -259,3 +260,15 @@ def potential_suite() -> list[CheckResult]:
         check_full_sphere_closed_form(),
         check_plane_shell_potential(),
     ]
+
+
+def suite_report(results: list[CheckResult]) -> Report:
+    """The report of a suite: one csv row and one plot line per check."""
+    return Report(
+        data={"checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
+                         for r in results]},
+        header=("name", "passed", "detail"),
+        rows=[(r.name, int(r.passed), f'"{r.detail}"') for r in results],
+        plot=[(i, int(r.passed), 1) for i, r in enumerate(results)],
+        passed=all(r.passed for r in results),
+        summary="\n".join(r.line() for r in results))

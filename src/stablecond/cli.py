@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -27,9 +26,6 @@ from . import geometry as geo
 from .potential import StableParams
 
 ENV_PREFIX = "STABLECOND_"
-
-EXPERIMENTS = ("specfun-suite", "potential-suite", "hitting", "strike",
-               "duality", "reversal")
 
 # key -> (parser-kind, default); None defaults mean "must be supplied or
 # derived"; list-like values are stored as lists in the resolved config
@@ -175,6 +171,14 @@ def resolve_config(raw: dict[str, tuple[str, str]]) -> dict:
     grid = cfg["eps_grid"]
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("eps_grid must be strictly decreasing")
+    if cfg["experiment"] in ("hitting", "strike"):
+        if not grid:
+            raise ConfigError("eps_grid must not be empty")
+        if len(cfg["x0"]) != cfg["d"]:
+            raise ConfigError(f"x0 must have d = {cfg['d']} coordinates, "
+                              f"got {len(cfg['x0'])}")
+    if cfg["n_paths"] < 1:
+        raise ConfigError("n_paths must be >= 1")
     if cfg["workers"] < 1:
         raise ConfigError("workers must be >= 1")
     return cfg
@@ -206,141 +210,102 @@ def _target_set(cfg):
     return sset if sset is not None else pset
 
 
+def _params(cfg) -> StableParams:
+    return StableParams(cfg["alpha"], cfg["d"])
+
+
+def _grid_options(cfg) -> dict:
+    """Keyword arguments that hitting and strike share."""
+    return dict(h=cfg["h"] or None, h_rule=cfg["h_rule"], seed=cfg["seed"],
+                workers=cfg["workers"], r_far=cfg["r_far"],
+                horizon=cfg["horizon"] or None)
+
+
+def _hitting(cfg) -> cond.Report:
+    return cond.hitting_experiment(
+        _params(cfg), _target_set(cfg), cfg["x0"], cfg["eps_grid"],
+        cfg["n_paths"], **_grid_options(cfg))
+
+
+def _strike(cfg) -> cond.Report:
+    p = _params(cfg)
+    big = _target_set(cfg)
+    subs = _build_sphere_set(cfg, "subcaps")
+    if subs is None and cfg["sub_plane_radius"] > 0.0:
+        subs = geo.PlanarSet.ball(
+            cfg["plane_normal"],
+            cfg["sub_plane_center"] or [0.0] * (cfg["d"] - 1),
+            cfg["sub_plane_radius"])
+    if subs is None:
+        raise ConfigError("strike experiment needs subcaps or sub_plane_*")
+    return cond.strike_experiment(p, big, subs, cfg["x0"], cfg["eps_grid"],
+                                  cfg["n_paths"], **_grid_options(cfg))
+
+
+def _duality(cfg) -> cond.Report:
+    p = _params(cfg)
+    S = _build_sphere_set(cfg)
+    if S is None or not cfg["window_f"] or not cfg["window_g"]:
+        raise ConfigError("duality needs caps, window_f and window_g")
+    wf = cond.Window(tuple(cfg["window_f"][0]), cfg["window_f"][1])
+    wg = cond.Window(tuple(cfg["window_g"][0]), cfg["window_g"][1])
+    return cond.duality_experiment(p, S, wf, wg, cfg["t"], cfg["n_paths"],
+                                   h=cfg["h"] or None, seed=cfg["seed"],
+                                   workers=cfg["workers"])
+
+
+def _reversal(cfg) -> cond.Report:
+    p = _params(cfg)
+    S = _build_sphere_set(cfg)
+    if S is None:
+        raise ConfigError("reversal needs caps")
+    return cond.reversal_experiment(
+        p, S, r_exit=cfg["r_exit"], n_paths=cfg["n_paths"],
+        h=cfg["h"] or 0.02, seed=cfg["seed"], workers=cfg["workers"],
+        r_far=cfg["r_far"], n_bins=cfg["n_bins"], clip=cfg["clip"])
+
+
+# experiment name -> function making its report from the resolved config
+_BUILDERS = {
+    "specfun-suite": lambda cfg: chk.suite_report(chk.specfun_suite()),
+    "potential-suite": lambda cfg: chk.suite_report(chk.potential_suite()),
+    "hitting": _hitting,
+    "strike": _strike,
+    "duality": _duality,
+    "reversal": _reversal,
+}
+EXPERIMENTS = tuple(_BUILDERS)
+
+
 def _write(out: Path, name: str, text: str):
     (out / name).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _suite_artifacts(results: list[chk.CheckResult], out: Path) -> bool:
-    _write(out, "report.json", json.dumps(
-        {"checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
-                    for r in results]}, indent=2, sort_keys=True) + "\n")
-    rows = ["name,passed,detail"]
-    rows += [f"{r.name},{int(r.passed)},\"{r.detail}\"" for r in results]
-    _write(out, "report.csv", "\n".join(rows) + "\n")
-    _write(out, "plot.dat", "\n".join(
-        f"{i} {int(r.passed)} 1" for i, r in enumerate(results)) + "\n")
-    for r in results:
-        print(r.line())
-    return all(r.passed for r in results)
+def _line(cells, sep: str) -> str:
+    return sep.join(c if isinstance(c, str) else repr(c) for c in cells)
 
 
-def _grid_artifacts(report: cond.ExperimentReport, out: Path):
-    _write(out, "report.json", cond.report_to_json(report) + "\n")
-    _write(out, "report.csv", "\n".join(report.to_csv_rows()) + "\n")
-    lines = [f"{repr(e)} {repr(s)} {repr(report.theory_value)}"
-             for e, s in zip(report.eps_grid, report.scaled)]
-    _write(out, "plot.dat", "\n".join(lines) + "\n")
+def _write_report(report: cond.Report, out: Path):
+    """report.json, report.csv and plot.dat of one report."""
+    _write(out, "report.json",
+           json.dumps(report.data, indent=2, sort_keys=True) + "\n")
+    _write(out, "report.csv", "\n".join(
+        _line(row, ",") for row in (report.header, *report.rows)) + "\n")
+    _write(out, "plot.dat",
+           "\n".join(_line(row, " ") for row in report.plot) + "\n")
 
 
 def run(cfg: dict, out_dir: str | None = None) -> int:
-    """Execute the configured experiment and write its artifacts."""
+    """Execute the configured experiment and write its artifacts; the exit
+    code is the report's verdict."""
     out = Path(out_dir or cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     _write(out, "resolved-config.json",
            json.dumps(cfg, indent=2, sort_keys=True) + "\n")
-    exp = cfg["experiment"]
-    if exp == "specfun-suite":
-        return 0 if _suite_artifacts(chk.specfun_suite(), out) else 2
-    if exp == "potential-suite":
-        return 0 if _suite_artifacts(chk.potential_suite(), out) else 2
-
-    p = StableParams(cfg["alpha"], cfg["d"])
-    seed, workers = cfg["seed"], cfg["workers"]
-    h = cfg["h"] or None
-    horizon = cfg["horizon"] or None
-
-    if exp == "hitting":
-        rep = cond.hitting_experiment(
-            p, _target_set(cfg), cfg["x0"], cfg["eps_grid"], cfg["n_paths"],
-            h=h, h_rule=cfg["h_rule"], seed=seed, workers=workers,
-            r_far=cfg["r_far"], horizon=horizon)
-        _grid_artifacts(rep, out)
-        b = rep.scaled[-1]
-        settled = len(rep.scaled) < 2 or abs(b - rep.scaled[-2]) <= 0.2 * abs(b)
-        ok = settled and abs(b - rep.theory_value) <= 0.3 * rep.theory_value
-        print(f"hitting: scaled {['%.5g' % s for s in rep.scaled]} vs "
-              f"theory {rep.theory_value:.5g} ({rep.theory_source}); "
-              f"alternatives {rep.alt_theory} -> {'OK' if ok else 'OUTSIDE ENVELOPE'}")
-        return 0 if ok else 2
-
-    if exp == "strike":
-        big = _target_set(cfg)
-        subs = _build_sphere_set(cfg, "subcaps")
-        if subs is None and cfg["sub_plane_radius"] > 0.0:
-            subs = geo.PlanarSet.ball(
-                cfg["plane_normal"],
-                cfg["sub_plane_center"] or [0.0] * (cfg["d"] - 1),
-                cfg["sub_plane_radius"])
-        if subs is None:
-            raise ConfigError("strike experiment needs subcaps or sub_plane_*")
-        rep = cond.strike_experiment(
-            p, big, subs, cfg["x0"], cfg["eps_grid"], cfg["n_paths"], h=h,
-            h_rule=cfg["h_rule"], seed=seed, workers=workers,
-            r_far=cfg["r_far"], horizon=horizon)
-        _grid_artifacts(rep, out)
-        est = rep.estimates[-1]
-        ok = (not math.isnan(est.value)) and \
-            abs(est.value - rep.theory_value) <= max(3.0 * est.stderr, 0.05)
-        print(f"strike: first-strike ratio {est.value:.4f} +- {est.stderr:.4f} "
-              f"vs theory {rep.theory_value:.4f} -> {'OK' if ok else 'OUTSIDE'}")
-        return 0 if ok else 2
-
-    if exp == "duality":
-        S = _build_sphere_set(cfg)
-        if S is None or not cfg["window_f"] or not cfg["window_g"]:
-            raise ConfigError("duality needs caps, window_f and window_g")
-        wf = cond.Window(tuple(cfg["window_f"][0]), cfg["window_f"][1])
-        wg = cond.Window(tuple(cfg["window_g"][0]), cfg["window_g"][1])
-        lhs, rhs = cond.duality_experiment(
-            p, S, wf, wg, cfg["t"], cfg["n_paths"], h=h, seed=seed,
-            workers=workers)
-        payload = {
-            "lhs": {"value": lhs.value, "stderr": lhs.stderr, "n": lhs.n},
-            "rhs": {"value": rhs.value, "stderr": rhs.stderr, "n": rhs.n},
-            "t": cfg["t"], "seed": seed}
-        _write(out, "report.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        _write(out, "report.csv",
-               "side,value,stderr,n\n"
-               f"lhs,{lhs.value!r},{lhs.stderr!r},{lhs.n}\n"
-               f"rhs,{rhs.value!r},{rhs.stderr!r},{rhs.n}\n")
-        _write(out, "plot.dat", f"{cfg['t']!r} {lhs.value!r} {rhs.value!r}\n")
-        tol = 4.0 * math.hypot(lhs.stderr, rhs.stderr)
-        ok = abs(lhs.value - rhs.value) <= tol
-        print(f"duality: lhs {lhs.value:.5g} rhs {rhs.value:.5g} "
-              f"(4*SE = {tol:.2g}) -> {'OK' if ok else 'OUTSIDE'}")
-        return 0 if ok else 2
-
-    if exp == "reversal":
-        S = _build_sphere_set(cfg)
-        if S is None:
-            raise ConfigError("reversal needs caps")
-        rep = cond.reversal_experiment(
-            p, S, r_exit=cfg["r_exit"], n_paths=cfg["n_paths"],
-            h=h or 0.02, seed=seed, workers=workers, r_far=cfg["r_far"],
-            n_bins=cfg["n_bins"], clip=cfg["clip"])
-        _write(out, "report.json", json.dumps(rep, indent=2, sort_keys=True) + "\n")
-        rows = ["radius_lo,radius_hi,n_reversed,reversed_mean,reversed_se,"
-                "forward_mean,forward_se,z"]
-        for b in rep["bins"]:
-            rows.append(",".join(repr(b[k]) for k in (
-                "radius_lo", "radius_hi", "n_reversed", "reversed_mean",
-                "reversed_se", "forward_mean", "forward_se", "z")))
-        _write(out, "report.csv", "\n".join(rows) + "\n")
-        _write(out, "plot.dat", "\n".join(
-            f"{0.5 * (b['radius_lo'] + b['radius_hi'])!r} "
-            f"{b['reversed_mean']!r} {b['forward_mean']!r}"
-            for b in rep["bins"]) + "\n")
-        frac = rep["agree_fraction"]
-        if not frac >= 0.8:
-            # diagnostic outcome: warn rather than fail the run
-            print(f"reversal: WARNING agree fraction {frac:.2f} < 0.8 "
-                  f"({rep['agree_bins']}/{rep['occupied_bins']} bins)")
-        else:
-            print(f"reversal: agree fraction {frac:.2f} "
-                  f"({rep['agree_bins']}/{rep['occupied_bins']} bins)")
-        return 0
-
-    raise ConfigError(f"unhandled experiment {exp!r}")
+    report = _BUILDERS[cfg["experiment"]](cfg)
+    _write_report(report, out)
+    print(report.summary)
+    return 0 if report.passed else 2
 
 
 def main(argv=None) -> int:

@@ -14,11 +14,10 @@ alternative normalisations, never silently replaced.
 
 from __future__ import annotations
 
-import json
 import math
 import multiprocessing as mp
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -45,48 +44,22 @@ class MCEstimate:
             raise ValueError("estimate needs n >= 1")
 
 
-@dataclass
-class ExperimentReport:
-    """Per-epsilon estimates against a theoretical limit value."""
+@dataclass(frozen=True)
+class Report:
+    """What an experiment hands to the CLI.
 
-    alpha: float
-    d: int
-    geometry: str
-    eps_grid: list[float]
-    estimates: list[MCEstimate]
-    scaled: list[float]
-    theory_value: float
-    theory_source: str
-    alt_theory: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
+    ``data`` is written as report.json; ``header`` and ``rows`` as
+    report.csv; ``plot`` as the lines of plot.dat.  A string cell is written
+    as is, any other cell with ``repr``.  ``passed`` is the verdict and
+    ``summary`` the console text.
+    """
 
-    def __post_init__(self):
-        if any(b >= a for a, b in zip(self.eps_grid, self.eps_grid[1:])):
-            raise ValueError("eps grid must be strictly decreasing")
-        if not math.isfinite(self.theory_value):
-            raise ValueError("theory value must be finite")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "params": {"alpha": self.alpha, "d": self.d},
-            "geometry": self.geometry,
-            "grid": list(self.eps_grid),
-            "estimates": [
-                {"eps": e, "p_hat": est.value, "stderr": est.stderr,
-                 "scaled": s, "n": est.n, "seed": est.seed}
-                for e, est, s in zip(self.eps_grid, self.estimates, self.scaled)],
-            "theory": {"value": self.theory_value, "source": self.theory_source,
-                       "alternatives": self.alt_theory},
-            "extras": self.extras,
-        }
-
-    def to_csv_rows(self) -> list[str]:
-        header = "eps,p_hat,stderr,scaled,theory"
-        rows = [header]
-        for e, est, s in zip(self.eps_grid, self.estimates, self.scaled):
-            rows.append(",".join(repr(v) for v in (e, est.value, est.stderr, s))
-                        + "," + repr(self.theory_value))
-        return rows
+    data: dict
+    header: tuple
+    rows: list
+    plot: list
+    passed: bool
+    summary: str
 
 
 def describe(set_) -> str:
@@ -247,10 +220,36 @@ def _hitting_theory(p: StableParams, set_, x):
     return value, source, alt, hval
 
 
+def _grid_fields(p: StableParams, geometry: str, eps_grid, estimates, scaled,
+                 theory: float, source: str, alt: dict, extras: dict) -> dict:
+    """The ``Report`` fields other than the verdict that hitting and strike
+    share: one csv row and one plot line per eps."""
+    if not eps_grid or any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
+        raise ValueError("eps grid must be non-empty and strictly decreasing")
+    if not math.isfinite(theory):
+        raise ValueError("theory value must be finite")
+    data = {
+        "params": {"alpha": p.alpha, "d": p.d},
+        "geometry": geometry,
+        "grid": list(eps_grid),
+        "estimates": [
+            {"eps": e, "p_hat": est.value, "stderr": est.stderr,
+             "scaled": s, "n": est.n, "seed": est.seed}
+            for e, est, s in zip(eps_grid, estimates, scaled)],
+        "theory": {"value": theory, "source": source, "alternatives": alt},
+        "extras": extras,
+    }
+    return dict(
+        data=data, header=("eps", "p_hat", "stderr", "scaled", "theory"),
+        rows=[(e, est.value, est.stderr, s, theory)
+              for e, est, s in zip(eps_grid, estimates, scaled)],
+        plot=[(e, s, theory) for e, s in zip(eps_grid, scaled)])
+
+
 def hitting_experiment(p: StableParams, set_, x, eps_grid, n_paths: int,
                        h: float | None = None, h_rule: float = 8.0,
                        seed: int = 0, workers: int = 1, r_far: float = 50.0,
-                       horizon: float | None = None) -> ExperimentReport:
+                       horizon: float | None = None) -> Report:
     """Estimate P_x(hit eps-target) over the eps grid and scale it by
     eps^(alpha-1) (or |log eps| at alpha = 1) toward the limit constant."""
     p.require_conditioning()
@@ -267,13 +266,18 @@ def hitting_experiment(p: StableParams, set_, x, eps_grid, n_paths: int,
         censored.append(live / n_paths)
         sf = abs(math.log(eps)) if p.is_log_case else eps ** (p.alpha - 1.0)
         scaled.append(sf * est.value)
-    report = ExperimentReport(
-        alpha=p.alpha, d=p.d, geometry=describe(set_), eps_grid=list(eps_grid),
-        estimates=estimates, scaled=scaled, theory_value=theory,
-        theory_source=source, alt_theory=alt,
-        extras={"harmonic_at_x": hval, "horizon_censored_fraction": censored,
-                "r_far": r_far, "horizon": horizon})
-    return report
+    fields = _grid_fields(
+        p, describe(set_), eps_grid, estimates, scaled, theory, source, alt,
+        {"harmonic_at_x": hval, "horizon_censored_fraction": censored,
+         "r_far": r_far, "horizon": horizon})
+    # the last scaled value has settled (within 20 % of the one before) and
+    # lies within 30 % of the theory value
+    b = scaled[-1]
+    settled = len(scaled) < 2 or abs(b - scaled[-2]) <= 0.2 * abs(b)
+    ok = settled and abs(b - theory) <= 0.3 * theory
+    return Report(**fields, passed=ok, summary=(
+        f"hitting: scaled {['%.5g' % s for s in scaled]} vs theory {theory:.5g} "
+        f"({source}); alternatives {alt} -> {'OK' if ok else 'OUTSIDE ENVELOPE'}"))
 
 
 # -- strike-point experiment -------------------------------------------------
@@ -292,7 +296,7 @@ def _check_subset(set_sub, set_big, rng) -> None:
 def strike_experiment(p: StableParams, set_big, set_sub, x, eps_grid,
                       n_paths: int, h: float | None = None, h_rule: float = 8.0,
                       seed: int = 0, workers: int = 1, r_far: float = 50.0,
-                      horizon: float | None = None) -> ExperimentReport:
+                      horizon: float | None = None) -> Report:
     """Shared-path ratio P(hit inner eps-target) / P(hit outer eps-target),
     the finite-eps surrogate of the strike-point law."""
     p.require_conditioning()
@@ -322,13 +326,18 @@ def strike_experiment(p: StableParams, set_big, set_sub, x, eps_grid,
         estimates.append(MCEstimate(ratio, se, hits_outer, lvl_seed))
         scaled.append(ratio)
         ever_ratio.append(hits_inner / hits_outer)
-    return ExperimentReport(
-        alpha=p.alpha, d=p.d,
-        geometry=f"{describe(set_sub)} within {describe(set_big)}",
-        eps_grid=list(eps_grid), estimates=estimates, scaled=scaled,
-        theory_value=theory, theory_source="harmonic-weight ratio (exact quadrature)",
-        extras={"hit_counts": raw, "degenerate_eps": degenerate,
-                "ever_hit_ratio": ever_ratio})
+    fields = _grid_fields(
+        p, f"{describe(set_sub)} within {describe(set_big)}", eps_grid,
+        estimates, scaled, theory, "harmonic-weight ratio (exact quadrature)",
+        {}, {"hit_counts": raw, "degenerate_eps": degenerate,
+             "ever_hit_ratio": ever_ratio})
+    # the finest ratio is within max(3 SE, 0.05) of theory
+    est = estimates[-1]
+    ok = (not math.isnan(est.value)) and \
+        abs(est.value - theory) <= max(3.0 * est.stderr, 0.05)
+    return Report(**fields, passed=ok, summary=(
+        f"strike: first-strike ratio {est.value:.4f} +- {est.stderr:.4f} "
+        f"vs theory {theory:.4f} -> {'OK' if ok else 'OUTSIDE'}"))
 
 
 # -- weak duality ------------------------------------------------------------
@@ -422,7 +431,7 @@ def _duality_block(b, sizes, master_seed, p, S, win_from, win_to, t, h,
 def duality_experiment(p: StableParams, S: geo.CapSet, window_f: Window,
                        window_g: Window, t: float, n_paths: int,
                        h: float | None = None, seed: int = 0,
-                       workers: int = 1) -> tuple[MCEstimate, MCEstimate]:
+                       workers: int = 1) -> Report:
     """Both sides of the weak duality identity for the measure H_S(x) dx.
 
     lhs integrates E_x[f(X_t)] g(x) against the measure, rhs integrates
@@ -439,25 +448,35 @@ def duality_experiment(p: StableParams, S: geo.CapSet, window_f: Window,
         if geo.euclidean_distance_to_shell(S, c) < win.radius + 1e-3:
             raise ValueError("duality windows must stay clear of the target set")
     if t == 0.0:
-        lhs_val = _overlap_integral(S, window_f, window_g, p)
-        est = MCEstimate(lhs_val, 0.0, 1, seed)
-        return est, est
-    mass_g, hmax_g = _eta_mass(S, window_g, p)
-    mass_f, hmax_f = _eta_mass(S, window_f, p)
-    sizes = _block_sizes(n_paths)
-
-    with _block_map(len(sizes), workers) as map_blocks:
-        res = map_blocks(partial(
-            _duality_block, sizes=sizes, master_seed=seed, p=p, S=S,
-            win_from=window_g, win_to=window_f, t=t, h=h, hmax=hmax_g,
-            weighted=False))
-        lhs = _mean_estimate(res, n_paths, mass_g, seed)
-        res = map_blocks(partial(
-            _duality_block, sizes=sizes, master_seed=seed + 77_000, p=p, S=S,
-            win_from=window_f, win_to=window_g, t=t, h=h, hmax=hmax_f,
-            weighted=True))
-        rhs = _mean_estimate(res, n_paths, mass_f, seed + 77_000)
-    return lhs, rhs
+        lhs = rhs = MCEstimate(_overlap_integral(S, window_f, window_g, p),
+                               0.0, 1, seed)
+    else:
+        mass_g, hmax_g = _eta_mass(S, window_g, p)
+        mass_f, hmax_f = _eta_mass(S, window_f, p)
+        sizes = _block_sizes(n_paths)
+        with _block_map(len(sizes), workers) as map_blocks:
+            res = map_blocks(partial(
+                _duality_block, sizes=sizes, master_seed=seed, p=p, S=S,
+                win_from=window_g, win_to=window_f, t=t, h=h, hmax=hmax_g,
+                weighted=False))
+            lhs = _mean_estimate(res, n_paths, mass_g, seed)
+            res = map_blocks(partial(
+                _duality_block, sizes=sizes, master_seed=seed + 77_000, p=p,
+                S=S, win_from=window_f, win_to=window_g, t=t, h=h,
+                hmax=hmax_f, weighted=True))
+            rhs = _mean_estimate(res, n_paths, mass_f, seed + 77_000)
+    # the two sides agree within 4 SE
+    tol = 4.0 * math.hypot(lhs.stderr, rhs.stderr)
+    ok = abs(lhs.value - rhs.value) <= tol
+    sides = {"lhs": lhs, "rhs": rhs}
+    return Report(
+        data={**{k: {"value": e.value, "stderr": e.stderr, "n": e.n}
+                 for k, e in sides.items()}, "t": t, "seed": seed},
+        header=("side", "value", "stderr", "n"),
+        rows=[(k, e.value, e.stderr, e.n) for k, e in sides.items()],
+        plot=[(t, lhs.value, rhs.value)], passed=ok,
+        summary=(f"duality: lhs {lhs.value:.5g} rhs {rhs.value:.5g} "
+                 f"(4*SE = {tol:.2g}) -> {'OK' if ok else 'OUTSIDE'}"))
 
 
 def _overlap_integral(S, wf, wg, p) -> float:
@@ -571,7 +590,7 @@ def reversal_experiment(p: StableParams, S: geo.CapSet, r_exit: float = 2.0,
                         n_paths: int = 10_000, h: float = 0.02, seed: int = 0,
                         workers: int = 1, r_far: float = 50.0,
                         horizon: float = 30.0, n_bins: int = 8,
-                        clip: float = 0.5, guard: float = 0.05) -> dict:
+                        clip: float = 0.5, guard: float = 0.05) -> Report:
     """Diagnostic comparison of reversed-path one-step statistics against
     h-weighted forward steps from matched positions.
 
@@ -611,7 +630,7 @@ def reversal_experiment(p: StableParams, S: geo.CapSet, r_exit: float = 2.0,
         if cnt[j] < 50 or len(starts[j]) == 0:
             continue
         occupied += 1
-        mean_r = ssum[j] / cnt[j]
+        mean_r = float(ssum[j] / cnt[j])
         var_r = max(ssq[j] / cnt[j] - mean_r ** 2, 0.0)
         se_r = math.sqrt(var_r / cnt[j])
         # forward h-weighted one-step statistic from matched starts
@@ -633,7 +652,7 @@ def reversal_experiment(p: StableParams, S: geo.CapSet, r_exit: float = 2.0,
             "n_reversed": int(cnt[j]), "reversed_mean": mean_r,
             "reversed_se": se_r, "forward_mean": mean_f, "forward_se": se_f,
             "z": float(z)})
-    return {
+    data = {
         "params": {"alpha": p.alpha, "d": p.d},
         "geometry": describe(S),
         "r_exit": r_exit, "h": h, "n_paths": n_paths, "seed": seed,
@@ -644,7 +663,16 @@ def reversal_experiment(p: StableParams, S: geo.CapSet, r_exit: float = 2.0,
         "first_reversed_point_inside_fraction": float(first_inside),
         "horizon_truncated_fraction": float(truncated / n_paths),
     }
-
-
-def report_to_json(report: ExperimentReport) -> str:
-    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+    cols = ("radius_lo", "radius_hi", "n_reversed", "reversed_mean",
+            "reversed_se", "forward_mean", "forward_se", "z")
+    counts = f"({agree}/{occupied} bins)"
+    frac = data["agree_fraction"]
+    # a diagnostic: low agreement warns but never fails the run
+    summary = (f"reversal: agree fraction {frac:.2f} {counts}" if frac >= 0.8
+               else f"reversal: WARNING agree fraction {frac:.2f} < 0.8 {counts}")
+    return Report(
+        data=data, header=cols,
+        rows=[tuple(b[k] for k in cols) for b in bins_out],
+        plot=[(0.5 * (b["radius_lo"] + b["radius_hi"]), b["reversed_mean"],
+               b["forward_mean"]) for b in bins_out],
+        passed=True, summary=summary)

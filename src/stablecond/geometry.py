@@ -195,12 +195,6 @@ def angular_distance_many(S: CapSet, thetas: np.ndarray) -> np.ndarray:
     return np.maximum(dist.min(axis=1), 0.0)
 
 
-def angular_distance(S: CapSet, theta) -> float:
-    """Geodesic distance from a unit vector to the cap union; 0 iff inside."""
-    theta = unit_vector(theta)
-    return float(angular_distance_many(S, np.array([theta]))[0])
-
-
 def euclidean_distance_to_shell(S: CapSet, x: np.ndarray) -> float:
     """Euclidean distance from a point of R^d to the set S on the sphere."""
     x = np.asarray(x, dtype=float)

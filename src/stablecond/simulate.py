@@ -28,21 +28,19 @@ def rng_for_block(master_seed: int, block_index: int) -> np.random.Generator:
 
 
 def sample_positive_stable(beta: float, rng: np.random.Generator,
-                           size: int | None = None):
-    """Positive stable draw(s) S with E exp(-lam S) = exp(-lam^beta).
+                           size: int) -> np.ndarray:
+    """``size`` positive stable draws S with E exp(-lam S) = exp(-lam^beta).
 
     Kanter's representation: S = (a(U)/E)^((1-beta)/beta) with U uniform
     on (0, pi) and E unit exponential.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("sample_positive_stable requires beta in (0, 1)")
-    n = 1 if size is None else size
-    u = rng.uniform(0.0, math.pi, n)
-    e = rng.exponential(1.0, n)
+    u = rng.uniform(0.0, math.pi, size)
+    e = rng.exponential(1.0, size)
     a_u = (np.sin(beta * u) ** beta * np.sin((1.0 - beta) * u) ** (1.0 - beta)
            / np.sin(u)) ** (1.0 / (1.0 - beta))
-    s = (a_u / e) ** ((1.0 - beta) / beta)
-    return float(s[0]) if size is None else s
+    return (a_u / e) ** ((1.0 - beta) / beta)
 
 
 def sample_increment(p: StableParams, h: float, rng: np.random.Generator,

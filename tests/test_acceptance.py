@@ -156,37 +156,39 @@ def test_criterion_06_occupation_consistency():
 
 def test_criterion_07_hitting_trend():
     rep = cond.hitting_experiment(P, HALF2, (2.0, 0.0), [0.2, 0.1, 0.05],
-                                  n_paths=100_000, seed=700)
-    s = rep.scaled
+                                  n_paths=100_000, seed=700).data
+    s = [e["scaled"] for e in rep["estimates"]]
+    theory = rep["theory"]["value"]
+    published = rep["theory"]["alternatives"]["published"]
     change = abs(s[-1] - s[-2]) / abs(s[-1])
-    envelope = abs(s[-1] - rep.theory_value) / rep.theory_value
+    envelope = abs(s[-1] - theory) / theory
     ok = change < 0.2 and envelope < 0.3
     _report(7, ok, f"scaled sequence {['%.4f' % v for v in s]}, last-two change "
-            f"{change:.1%} (<20%), final vs limit {rep.theory_value:.4f}: "
+            f"{change:.1%} (<20%), final vs limit {theory:.4f}: "
             f"off by {envelope:.1%} (<30%); published-normalisation limit "
-            f"{rep.alt_theory['published']:.4f} "
-            f"(ratio {s[-1] / rep.alt_theory['published']:.2f})")
+            f"{published:.4f} (ratio {s[-1] / published:.2f})")
 
 
 def test_criterion_08_strike_point_law():
     quarter = ge.CapSet.single((1.0, 0.0), math.pi / 4)  # quarter of the circle
     rep = cond.strike_experiment(P, FULL2, quarter, (2.0, 0.0), [0.05],
-                                 n_paths=100_000, seed=800)
-    est = rep.estimates[0]
-    tol = max(3.0 * est.stderr, 0.05)
-    ok1 = abs(est.value - rep.theory_value) <= tol
+                                 n_paths=100_000, seed=800).data
+    est = rep["estimates"][0]
+    tol = max(3.0 * est["stderr"], 0.05)
+    ok1 = abs(est["p_hat"] - rep["theory"]["value"]) <= tol
     rep_same = cond.strike_experiment(P, FULL2, FULL2, (2.0, 0.0), [0.1],
-                                      n_paths=5_000, seed=801)
-    ok2 = rep_same.estimates[0].value == 1.0
+                                      n_paths=5_000, seed=801).data
+    same = rep_same["estimates"][0]["p_hat"]
+    ok2 = same == 1.0
     rep_half = cond.strike_experiment(P, FULL2, HALF2, (0.0, 0.0), [0.1],
-                                      n_paths=100_000, seed=802)
-    e3 = rep_half.estimates[0]
-    ok3 = abs(e3.value - 0.5) <= 3.0 * e3.stderr
+                                      n_paths=100_000, seed=802).data
+    e3 = rep_half["estimates"][0]
+    ok3 = abs(e3["p_hat"] - 0.5) <= 3.0 * e3["stderr"]
     _report(8, ok1 and ok2 and ok3,
-            f"quarter-arc ratio {est.value:.4f}+-{est.stderr:.4f} vs theory "
-            f"{rep.theory_value:.4f} (tol {tol:.4f}); S'=S ratio "
-            f"{rep_same.estimates[0].value}; origin/half ratio {e3.value:.4f}"
-            f"+-{e3.stderr:.4f} (ever-hit column {rep_half.extras['ever_hit_ratio'][0]:.4f})")
+            f"quarter-arc ratio {est['p_hat']:.4f}+-{est['stderr']:.4f} vs theory "
+            f"{rep['theory']['value']:.4f} (tol {tol:.4f}); S'=S ratio "
+            f"{same}; origin/half ratio {e3['p_hat']:.4f}+-{e3['stderr']:.4f} "
+            f"(ever-hit column {rep_half['extras']['ever_hit_ratio'][0]:.4f})")
 
 
 def test_criterion_09_weak_duality():
@@ -199,12 +201,13 @@ def test_criterion_09_weak_duality():
     lines = []
     for i, (wf, wg) in enumerate(pairs):
         for j, t in enumerate((0.25, 0.5)):
-            lhs, rhs = cond.duality_experiment(P, HALF2, wf, wg, t, 100_000,
-                                              seed=900 + 10 * i + j)
-            tol = 4.0 * math.hypot(lhs.stderr, rhs.stderr)
-            ok = abs(lhs.value - rhs.value) <= tol
+            rep = cond.duality_experiment(P, HALF2, wf, wg, t, 100_000,
+                                          seed=900 + 10 * i + j).data
+            lhs, rhs = rep["lhs"]["value"], rep["rhs"]["value"]
+            tol = 4.0 * math.hypot(rep["lhs"]["stderr"], rep["rhs"]["stderr"])
+            ok = abs(lhs - rhs) <= tol
             all_ok &= ok
-            lines.append(f"pair{i + 1} t={t}: |{lhs.value:.3g}-{rhs.value:.3g}|"
+            lines.append(f"pair{i + 1} t={t}: |{lhs:.3g}-{rhs:.3g}|"
                          f"{'<=' if ok else '>'}{tol:.2g}")
     _report(9, all_ok, "; ".join(lines))
 
@@ -223,31 +226,32 @@ def test_criterion_10_plane_analogues():
     # (ii) hitting trend and envelope against the equilibrium constant,
     # with the published and interval-corrected ratios surfaced
     rep = cond.hitting_experiment(p3, disk, x, [0.2, 0.1, 0.05],
-                                  n_paths=100_000, seed=1000)
-    s = rep.scaled
+                                  n_paths=100_000, seed=1000).data
+    s = [e["scaled"] for e in rep["estimates"]]
+    theory, alt = rep["theory"]["value"], rep["theory"]["alternatives"]
     change = abs(s[-1] - s[-2]) / abs(s[-1])
-    envelope = abs(s[-1] - rep.theory_value) / rep.theory_value
+    envelope = abs(s[-1] - theory) / theory
     ok_h = change < 0.2 and envelope < 0.3
-    ratio_pub = s[-1] / rep.alt_theory["published"]
-    ratio_interval = s[-1] / rep.alt_theory["interval_normalised"]
+    ratio_pub = s[-1] / alt["published"]
+    ratio_interval = s[-1] / alt["interval_normalised"]
     # (iii) strike ratio on the sub-disk
     rep_s = cond.strike_experiment(p3, disk, sub_disk, x, [0.05],
-                                   n_paths=100_000, seed=1001)
-    est = rep_s.estimates[0]
-    tol = max(3.0 * est.stderr, 0.05)
-    ok_s = abs(est.value - rep_s.theory_value) <= tol
+                                   n_paths=100_000, seed=1001).data
+    est = rep_s["estimates"][0]
+    tol = max(3.0 * est["stderr"], 0.05)
+    ok_s = abs(est["p_hat"] - rep_s["theory"]["value"]) <= tol
     _report(10, ok_u and ok_h and ok_s,
             f"slab potential max|U-1|={dev:.2e} (published normalisation gives "
             f"{raw:.3f}); hitting scaled {['%.4f' % v for v in s]} vs eq limit "
-            f"{rep.theory_value:.4f} (change {change:.1%}, envelope {envelope:.1%}; "
+            f"{theory:.4f} (change {change:.1%}, envelope {envelope:.1%}; "
             f"ratio to published {ratio_pub:.3f}, to interval-corrected "
-            f"{ratio_interval:.3f}); strike {est.value:.4f}+-{est.stderr:.4f} vs "
-            f"{rep_s.theory_value:.4f} (tol {tol:.4f})")
+            f"{ratio_interval:.3f}); strike {est['p_hat']:.4f}+-{est['stderr']:.4f} "
+            f"vs {rep_s['theory']['value']:.4f} (tol {tol:.4f})")
 
 
 def test_criterion_11_reversal_diagnostic():
     rep = cond.reversal_experiment(P, HALF2, r_exit=2.0, n_paths=100_000,
-                                   h=0.02, seed=1100, horizon=25.0)
+                                   h=0.02, seed=1100, horizon=25.0).data
     frac = rep["agree_fraction"]
     structural = rep["first_reversed_point_inside_fraction"] == 1.0 \
         and rep["occupied_bins"] >= 4

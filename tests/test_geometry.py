@@ -51,12 +51,13 @@ def test_angular_distance_full_sphere():
     rng = np.random.default_rng(0)
     for _ in range(10):
         theta = unit(rng.standard_normal(3))
-        assert ge.angular_distance(S, theta) == 0.0
+        assert ge.angular_distance_many(S, np.array([theta]))[0] == 0.0
 
 
 def test_angular_distance_hemisphere_antipode():
     S = ge.CapSet.single((1.0, 0.0), math.pi / 2)
-    assert ge.angular_distance(S, (-1.0, 0.0)) == pytest.approx(math.pi / 2)
+    assert ge.angular_distance_many(S, np.array([(-1.0, 0.0)]))[0] \
+        == pytest.approx(math.pi / 2)
 
 
 def test_angular_distance_two_caps_brute_force():
@@ -73,7 +74,8 @@ def test_angular_distance_two_caps_brute_force():
             g /= np.linalg.norm(g)
             bd = math.cos(radius) * c + math.sin(radius) * g
             best = min(best, math.acos(np.clip(theta @ bd, -1, 1)))
-    assert ge.angular_distance(caps, theta) == pytest.approx(best, abs=1e-3)
+    assert ge.angular_distance_many(caps, np.array([theta]))[0] \
+        == pytest.approx(best, abs=1e-3)
 
 
 # -- surface measure -------------------------------------------------------------

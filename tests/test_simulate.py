@@ -41,7 +41,7 @@ def test_positive_stable_scaling():
 def test_positive_stable_domain():
     rng = sim.rng_for_block(0, 0)
     with pytest.raises(ValueError):
-        sim.sample_positive_stable(1.0, rng)
+        sim.sample_positive_stable(1.0, rng, 1)
 
 
 def test_increment_characteristic_function():
@@ -136,9 +136,9 @@ def test_run_paths_trivial_cases(monkeypatch):
     # a block that starts inside the target is all hits and draws nothing
     draws.clear()
     rep = cond.hitting_experiment(p, ge.CapSet.full_sphere(2), (1.1, 0.0), [0.2],
-                                  n_paths=100, seed=1)
-    assert rep.estimates[0].value == 1.0
-    assert rep.extras["horizon_censored_fraction"] == [0.0]
+                                  n_paths=100, seed=1).data
+    assert rep["estimates"][0]["p_hat"] == 1.0
+    assert rep["extras"]["horizon_censored_fraction"] == [0.0]
     assert draws == []
 
 
