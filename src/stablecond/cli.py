@@ -49,7 +49,7 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "h": ("float", 0.0),           # 0 means: derive from eps / h_rule
     "h_rule": ("float", 8.0),
     "r_far": ("float", 50.0),
-    "horizon": ("float", 0.0),     # 0 means: 10 * r_far^alpha
+    "horizon": ("float", 0.0),     # 0 means: 10 * r_far^alpha (reversal: 30)
     "t": ("float", 0.5),
     "window_f": ("window", []),
     "window_g": ("window", []),
@@ -262,7 +262,8 @@ def _reversal(cfg) -> cond.Report:
     return cond.reversal_experiment(
         p, S, r_exit=cfg["r_exit"], n_paths=cfg["n_paths"],
         h=cfg["h"] or 0.02, seed=cfg["seed"], workers=cfg["workers"],
-        r_far=cfg["r_far"], n_bins=cfg["n_bins"], clip=cfg["clip"])
+        r_far=cfg["r_far"], horizon=cfg["horizon"] or 30.0,
+        n_bins=cfg["n_bins"], clip=cfg["clip"])
 
 
 # experiment name -> function making its report from the resolved config

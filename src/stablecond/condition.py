@@ -104,8 +104,8 @@ def _martingale_block(b: int, sizes, master_seed, p, S, x0, n_steps, h, stop_dis
     m = sizes[b]
     x = np.tile(np.asarray(x0, dtype=float), (m, 1))
     # freeze paths that reached S (a NaN distance freezes too)
-    sim.run_paths(p, x, h, n_steps, rng, lambda k, alive, x: ~(
-        geo.euclidean_distance_to_shell_many(S, x[alive]) >= stop_dist))
+    sim.run_paths(p, x, h, n_steps, rng, lambda k, alive, xl: ~(
+        geo.euclidean_distance_to_shell_many(S, xl) >= stop_dist))
     dist = geo.euclidean_distance_to_shell_many(S, x)
     ok = dist >= pot.SINGULARITY_CUTOFF
     w = np.zeros(m)
@@ -158,16 +158,15 @@ def _hit_block(b: int, sizes, master_seed, p, stop_target, monitor_target,
                       and geo.in_target(x0, monitor_target))
     first_in_stop = np.zeros(m, dtype=bool)
 
-    def stop(k, alive, x):
-        sub = x[alive]
-        inside = geo.in_target_many(sub, stop_target)
+    def stop(k, alive, xl):
+        inside = geo.in_target_many(xl, stop_target)
         if monitor_target is not None:
-            entered = geo.in_target_many(sub, monitor_target) & ~hit_mon[alive]
+            entered = geo.in_target_many(xl, monitor_target) & ~hit_mon[alive]
             idx = alive[entered]
             hit_mon[idx] = True
             first_in_stop[idx] = inside[entered]
         hit_stop[alive[inside]] = True
-        return inside | (np.linalg.norm(sub, axis=1) > r_far)
+        return inside | (geo.row_norms(xl) > r_far)
 
     alive = sim.run_paths(p, x, h, n_steps, rng, stop)
     return (int(hit_stop.sum()), int(hit_mon.sum()),
@@ -412,7 +411,7 @@ def _duality_block(b, sizes, master_seed, p, S, win_from, win_to, t, h,
     steps = 1 if h is None else max(1, round(t / h))
     xt = xs.copy()
     sim.run_paths(p, xt, t / steps, steps, rng,
-                  lambda k, alive, x: np.zeros(alive.size, dtype=bool))
+                  lambda k, alive, xl: np.zeros(alive.size, dtype=bool))
     vals = win_from(xs) * win_to(xt)
     if weighted:
         mask = vals != 0.0
@@ -502,10 +501,9 @@ def _occupation_block(b, sizes, master_seed, p, x0, center, radius, h,
     occ = np.zeros(m)
     cen = np.asarray(center, dtype=float)
 
-    def stop(k, alive, x):
-        sub = x[alive]
-        occ[alive] += h * (np.linalg.norm(sub - cen, axis=1) <= radius)
-        return ~(np.linalg.norm(sub, axis=1) <= r_far)
+    def stop(k, alive, xl):
+        occ[alive] += h * (geo.row_norms(xl - cen) <= radius)
+        return ~(geo.row_norms(xl) <= r_far)
 
     sim.run_paths(p, x, h, n_steps, rng, stop)
     return float(occ.sum()), float((occ ** 2).sum())
@@ -541,9 +539,9 @@ def _reversal_block(b, sizes, master_seed, p, S, r_exit, h, n_steps, r_far,
     pos[:, 0, :] = x
     end = np.full(m, n_steps, dtype=int)
 
-    def stop(k, alive, x):
-        pos[:, k, :] = x
-        gone = np.linalg.norm(x[alive], axis=1) > r_far
+    def stop(k, alive, xl):
+        pos[alive, k] = xl
+        gone = geo.row_norms(xl) > r_far
         end[alive[gone]] = k
         return gone
 

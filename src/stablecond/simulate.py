@@ -70,20 +70,28 @@ def run_paths(p: StableParams, x: np.ndarray, h: float, n_steps: int,
               rng: np.random.Generator, stop) -> np.ndarray:
     """Step the block of paths ``x`` (m, d) in place, for at most n_steps.
 
-    Step k (from 1) draws one increment per live path, in path order, adds
-    it, and calls ``stop(k, alive, x)`` with the indices of the paths just
-    stepped.  The callback records what its experiment observes and returns
-    a boolean mask over ``alive`` of the paths to freeze; a frozen path
-    keeps its position and draws nothing more.  The loop ends at the
-    horizon or when no path is live.  Returns the indices of the paths
-    still live after the last step.
+    The live positions are kept in one contiguous array ``xl``, in path
+    order.  Step k (from 1) draws one increment per live path, adds it to
+    ``xl``, and calls ``stop(k, alive, xl)``: ``alive`` holds the indices
+    into ``x`` of the rows of ``xl``.  The callback records what its
+    experiment observes and returns a boolean mask over ``alive`` of the
+    paths to freeze; a frozen path's position is written back to ``x`` and
+    it draws nothing more.  The loop ends at the horizon or when no path is
+    live, and the live positions are written back.  Returns the indices of
+    the paths still live after the last step.
     """
     alive = np.arange(len(x))
+    xl = x.copy()
     for k in range(1, n_steps + 1):
         if alive.size == 0:
             break
-        x[alive] += sample_increment(p, h, rng, alive.size)
-        alive = alive[~stop(k, alive, x)]
+        xl += sample_increment(p, h, rng, alive.size)
+        frozen = stop(k, alive, xl)
+        if frozen.any():
+            x[alive[frozen]] = xl[frozen]
+            keep = ~frozen
+            alive, xl = alive[keep], xl[keep]
+    x[alive] = xl
     return alive
 
 
@@ -98,8 +106,8 @@ def reentry_probability(p: StableParams, r_far: float = 50.0,
     x = r_far * g / np.linalg.norm(g, axis=1, keepdims=True)
     reentered = np.zeros(n_paths, dtype=bool)
 
-    def stop(k, alive, x):
-        r = np.linalg.norm(x[alive], axis=1)
+    def stop(k, alive, xl):
+        r = geo.row_norms(xl)
         back = r < annulus
         reentered[alive[back]] = True
         return back | (r > 10.0 * r_far)

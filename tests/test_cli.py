@@ -227,6 +227,19 @@ seed = 5
 }
 
 
+def test_reversal_horizon_is_used(tmp_path):
+    # a configured horizon reaches the run; 0 (unset) keeps the default 30
+    payloads = []
+    for i, extra in enumerate(("", "horizon = 5\n")):
+        cfg = cli.parse_config(write(tmp_path, TINY["reversal"] + extra))
+        out = tmp_path / f"out{i}"
+        assert cli.run(cfg, out_dir=out) == 0
+        payloads.append((out / "report.json").read_bytes())
+    assert payloads[0] != payloads[1]
+    truncated = [json.loads(b)["horizon_truncated_fraction"] for b in payloads]
+    assert truncated[1] > truncated[0]
+
+
 @pytest.mark.parametrize("exp,line,match", [
     ("hitting", "n_paths = 0", "n_paths must be >= 1"),
     ("hitting", "n_paths = -5", "n_paths must be >= 1"),

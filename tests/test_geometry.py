@@ -187,6 +187,91 @@ def test_shell_membership_nested_in_delta(d1, d2):
         assert ge.in_target(x, ge.shell(S, 0.05, hi))
 
 
+def _membership_unfiltered(X, T):
+    """The thickened-target formula evaluated in full on every point."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        if T.kind == "shell":
+            S = T.sphere_set
+            r = np.linalg.norm(X, axis=1)
+            theta = X / np.where(r > 0.0, r, 1.0)[:, None]
+            cosang = np.clip(theta @ S.centers().T, -1.0, 1.0)
+            ang = np.maximum((np.arccos(cosang) - S.radii()[None, :]).min(axis=1), 0.0)
+            return ((r >= 1.0 - T.eps) & (r <= 1.0 + T.eps)
+                    & (ang <= T.delta + 1e-15) & (r > 0.0))
+        D = T.plane_set
+        height = X @ np.asarray(D.normal)
+        u = X @ ge.plane_frame(D.normal).T
+        if D.shape == "ball":
+            center, radius = D.params
+            dist = np.maximum(np.linalg.norm(u - np.asarray(center), axis=1) - radius, 0.0)
+        else:
+            lo, hi = (np.asarray(q) for q in D.params)
+            dist = np.linalg.norm(np.maximum(np.maximum(lo - u, u - hi), 0.0), axis=1)
+        return (np.abs(height) <= T.eps) & (dist <= T.delta + 1e-15)
+
+
+def _membership_points(d, eps, normal, rng):
+    """Random points near the shell and the slab, plus the edge cases: the
+    origin, NaN and infinite rows, radius and height exactly at the band
+    edges, and far points."""
+    n = 2000
+    g = rng.standard_normal((n, d))
+    dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
+    near_shell = dirs * rng.uniform(1.0 - 2 * eps, 1.0 + 2 * eps, n)[:, None]
+    v = np.asarray(normal)
+    flat = rng.uniform(-2.0, 2.0, (n, d))
+    flat -= np.outer(flat @ v, v)
+    near_plane = flat + np.outer(rng.uniform(-2 * eps, 2 * eps, n), v)
+    e0 = np.eye(d)[0]
+    edges = [np.zeros(d), np.full(d, np.nan), np.full(d, np.inf),
+             np.full(d, -np.inf), np.r_[np.inf, np.zeros(d - 1)],
+             np.r_[np.nan, np.ones(d - 1)], (1.0 + eps) * e0, (1.0 - eps) * e0,
+             -(1.0 + eps) * e0, -(1.0 - eps) * e0, (1.0 + eps) * dirs[0],
+             eps * v, -eps * v, flat[0] + eps * v, flat[1] - eps * v,
+             1e3 * dirs[1], 1e200 * dirs[2], np.full(d, 1e-300)]
+    return np.concatenate([near_shell, near_plane, np.array(edges),
+                           rng.standard_normal((200, d)) * 50.0])
+
+
+def test_in_target_prefilter_matches_full_formula():
+    rng = np.random.default_rng(17)
+    eps = 0.1
+    cases = []
+    for d in (2, 3):
+        e0 = np.eye(d)[0]
+        e1 = np.eye(d)[1]
+        for S in (ge.CapSet.full_sphere(d), ge.CapSet.single(e0, 0.6),
+                  ge.CapSet(((tuple(e0), 0.3), (tuple(-e1), 0.5)), d)):
+            for delta in (0.0, 0.15):
+                cases.append((d, (0.0,) * (d - 1) + (1.0,), ge.shell(S, eps, delta)))
+    tilted = tuple(unit([0.3, -0.2, 0.9]))
+    for normal in ((0.0, 0.0, 1.0), tilted):
+        for D in (ge.PlanarSet.ball(normal, (0.2, -0.1), 0.8),
+                  ge.PlanarSet.box(normal, (-0.5, -1.0), (0.7, 0.4))):
+            for delta in (0.0, 0.2):
+                cases.append((3, normal, ge.slab(D, eps, delta)))
+    D2 = ge.PlanarSet.box((0.0, 1.0), (-0.5,), (0.5,))
+    cases.append((2, (0.0, 1.0), ge.slab(D2, eps, 0.1)))
+    for d, normal, T in cases:
+        X = _membership_points(d, eps, normal, rng)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = ge.in_target_many(X, T)
+        want = _membership_unfiltered(X, T)
+        assert got.dtype == bool and np.array_equal(got, want)
+        assert 0 < want.sum() < len(X)
+
+
+def test_row_norms_match_numpy():
+    rng = np.random.default_rng(5)
+    for d in range(2, 8):
+        X = rng.standard_normal((5000, d)) * np.exp(rng.normal(scale=20.0, size=(5000, 1)))
+        X[:4] = [np.zeros(d), np.full(d, np.nan), np.full(d, np.inf),
+                 np.r_[-np.inf, np.zeros(d - 1)]]
+        with np.errstate(over="ignore"):
+            assert np.array_equal(ge.row_norms(X), np.linalg.norm(X, axis=1),
+                                  equal_nan=True)
+
+
 # -- samplers ----------------------------------------------------------------------
 
 def test_sample_boundary_circle_uniform():

@@ -100,11 +100,10 @@ def _hit_run(p, x0, h, n_steps, T, rng, m=1, r_far=50.0):
     x = np.tile(np.asarray(x0, dtype=float), (m, 1))
     hit = np.zeros(m, dtype=bool)
 
-    def stop(k, alive, x):
-        sub = x[alive]
-        inside = ge.in_target_many(sub, T)
+    def stop(k, alive, xl):
+        inside = ge.in_target_many(xl, T)
         hit[alive[inside]] = True
-        return inside | (np.linalg.norm(sub, axis=1) > r_far)
+        return inside | (np.linalg.norm(xl, axis=1) > r_far)
 
     return hit, x, sim.run_paths(p, x, h, n_steps, rng, stop)
 
@@ -123,8 +122,8 @@ def test_run_paths_trivial_cases(monkeypatch):
     x = np.tile([2.0, 0.0], (200, 1))
     frozen_at = np.full(200, 40)
 
-    def stop(k, alive, x):
-        gone = np.linalg.norm(x[alive], axis=1) > 3.0
+    def stop(k, alive, xl):
+        gone = np.linalg.norm(xl, axis=1) > 3.0
         frozen_at[alive[gone]] = k
         return gone
 
@@ -140,6 +139,76 @@ def test_run_paths_trivial_cases(monkeypatch):
     assert rep["estimates"][0]["p_hat"] == 1.0
     assert rep["extras"]["horizon_censored_fraction"] == [0.0]
     assert draws == []
+
+
+def _gather_scatter_run(p, x, h, n_steps, rng, stop, draws):
+    """The stepping loop that keeps no live array: each step updates
+    x[alive] in place and hands the callback the whole block."""
+    alive = np.arange(len(x))
+    for k in range(1, n_steps + 1):
+        if alive.size == 0:
+            break
+        draws.append(alive.size)
+        x[alive] += sim.sample_increment(p, h, rng, alive.size)
+        alive = alive[~stop(k, alive, x)]
+    return alive
+
+
+@pytest.mark.parametrize("case", ["staggered", "all_at_step_1", "never"])
+def test_run_paths_matches_gather_scatter_loop(monkeypatch, case):
+    p = StableParams(0.7, 3)
+    m, n_steps = 300, 25
+    x0 = np.random.default_rng(3).standard_normal((m, 3))
+
+    def freeze(k, alive, pos):
+        if case == "all_at_step_1":
+            return np.ones(alive.size, dtype=bool)
+        if case == "never":
+            return np.zeros(alive.size, dtype=bool)
+        # by index at every fourth step, by position at every step
+        return (((alive + k) % 11 == 0) & (k % 4 == 0)) \
+            | (np.linalg.norm(pos, axis=1) > 4.0)
+
+    seen_ref, draws_ref = [], []
+
+    def stop_ref(k, alive, x):
+        seen_ref.append((k, alive.copy(), x[alive].copy()))
+        return freeze(k, alive, x[alive])
+
+    x_ref = x0.copy()
+    live_ref = _gather_scatter_run(p, x_ref, 0.05, n_steps, sim.rng_for_block(8, 2),
+                                   stop_ref, draws_ref)
+
+    seen, draws = [], []
+    draw = sim.sample_increment
+
+    def counted(p, h, rng, size):
+        draws.append(size)
+        return draw(p, h, rng, size)
+
+    def stop(k, alive, xl):
+        assert xl.flags.c_contiguous and xl.shape == (alive.size, 3)
+        seen.append((k, alive.copy(), xl.copy()))
+        return freeze(k, alive, xl)
+
+    monkeypatch.setattr(sim, "sample_increment", counted)
+    x = x0.copy()
+    live = sim.run_paths(p, x, 0.05, n_steps, sim.rng_for_block(8, 2), stop)
+
+    assert np.array_equal(x, x_ref)
+    assert np.array_equal(live, live_ref)
+    assert draws == draws_ref
+    assert len(seen) == len(seen_ref)
+    for (k, alive, xl), (k_ref, alive_ref, x_alive_ref) in zip(seen, seen_ref):
+        assert k == k_ref
+        assert np.array_equal(alive, alive_ref)
+        assert np.array_equal(xl, x_alive_ref)
+    if case == "all_at_step_1":
+        assert draws == [m] and live.size == 0
+    elif case == "never":
+        assert draws == [m] * n_steps and np.array_equal(live, np.arange(m))
+    else:
+        assert len(set(draws)) > 5 and 0 < live.size < m
 
 
 def test_resolution_rule():
