@@ -1,9 +1,10 @@
 """Monte Carlo experiments for the conditioned process.
 
-Each experiment distributes paths over fixed-size blocks; block b draws
-from a Philox stream keyed by (master seed, b), and block results are
-reduced in block order with exact summation, so reports are bit-identical
-across reruns and across worker counts.
+Each experiment distributes paths over fixed-size blocks; block b of level
+i (an eps index, or a duality side) draws from the Philox stream keyed by
+(seed, stream id, i, b), and block results are reduced in block order with
+exact summation, so reports are bit-identical across reruns and across
+worker counts.
 
 Hitting experiments compare the scaled hitting frequency of a thickened
 target against the limit constant times the harmonic weight of the set.
@@ -99,13 +100,16 @@ def _bernoulli_estimate(hits: int, n: int, seed: int) -> MCEstimate:
 
 # -- h-transform weight ------------------------------------------------------
 
-def _martingale_block(b: int, sizes, master_seed, p, S, x0, n_steps, h, stop_dist):
-    rng = sim.rng_for_block(master_seed, b)
+def _martingale_block(b: int, sizes, seed, p, S, x0, n_steps, h, stop_dist):
+    rng = sim.rng_for_block(seed, sim.MARTINGALE, 0, b)
     m = sizes[b]
     x = np.tile(np.asarray(x0, dtype=float), (m, 1))
-    # freeze paths that reached S (a NaN distance freezes too)
-    sim.run_paths(p, x, h, n_steps, rng, lambda k, alive, xl: ~(
-        geo.euclidean_distance_to_shell_many(S, xl) >= stop_dist))
+    def stop(k, alive, X):
+        # freeze paths that reached S (a NaN distance freezes too)
+        dist = sim.per_point(partial(geo.euclidean_distance_to_shell_many, S), X)
+        return sim.first_true(~(dist >= stop_dist))
+
+    sim.run_paths(p, x, h, n_steps, rng, stop)
     dist = geo.euclidean_distance_to_shell_many(S, x)
     ok = dist >= pot.SINGULARITY_CUTOFF
     w = np.zeros(m)
@@ -126,7 +130,7 @@ def martingale_check(p: StableParams, S: geo.CapSet, x0, t: float,
     p.require_conditioning()
     sizes = _block_sizes(n_paths)
     n_steps = max(1, round(t / h))
-    fn = partial(_martingale_block, sizes=sizes, master_seed=seed, p=p, S=S,
+    fn = partial(_martingale_block, sizes=sizes, seed=seed, p=p, S=S,
                  x0=tuple(x0), n_steps=n_steps, h=h, stop_dist=stop_dist)
     with _block_map(len(sizes), workers) as map_blocks:
         res = map_blocks(fn)
@@ -141,14 +145,14 @@ def martingale_check(p: StableParams, S: geo.CapSet, x0, t: float,
 
 # -- hitting experiment ------------------------------------------------------
 
-def _hit_block(b: int, sizes, master_seed, p, stop_target, monitor_target,
+def _hit_block(b: int, sizes, seed, level, p, stop_target, monitor_target,
                x0, h, n_steps, r_far):
     """One path block.  Paths stop on the stop target (or far field /
     horizon); entry into the monitor target is tracked without stopping,
     and the position of the first monitor entry is classified against the
     stop target (first-strike column).  Returns (ever hit stop target,
     ever hit monitor, first monitor entry inside stop target, censored)."""
-    rng = sim.rng_for_block(master_seed, b)
+    rng = sim.rng_for_block(seed, sim.HIT, level, b)
     m = sizes[b]
     if geo.in_target(x0, stop_target):
         return m, m, m, 0
@@ -158,15 +162,20 @@ def _hit_block(b: int, sizes, master_seed, p, stop_target, monitor_target,
                       and geo.in_target(x0, monitor_target))
     first_in_stop = np.zeros(m, dtype=bool)
 
-    def stop(k, alive, xl):
-        inside = geo.in_target_many(xl, stop_target)
+    def stop(k, alive, X):
+        inside = sim.per_point(geo.in_target_many, X, stop_target)
+        first = sim.first_true(inside | (sim.per_point(geo.row_norms, X) > r_far))
         if monitor_target is not None:
-            entered = geo.in_target_many(xl, monitor_target) & ~hit_mon[alive]
-            idx = alive[entered]
-            hit_mon[idx] = True
-            first_in_stop[idx] = inside[entered]
-        hit_stop[alive[inside]] = True
-        return inside | (geo.row_norms(xl) > r_far)
+            # the first monitor entry, if it comes at or before the stop
+            entry = sim.first_true(
+                sim.per_point(geo.in_target_many, X, monitor_target))
+            j = np.flatnonzero((entry < len(X)) & (entry <= first)
+                               & ~hit_mon[alive])
+            hit_mon[alive[j]] = True
+            first_in_stop[alive[j]] = inside[entry[j], j]
+        j = np.flatnonzero(first < len(X))
+        hit_stop[alive[j[inside[first[j], j]]]] = True
+        return first
 
     alive = sim.run_paths(p, x, h, n_steps, rng, stop)
     return (int(hit_stop.sum()), int(hit_mon.sum()),
@@ -181,8 +190,8 @@ def _make_target(set_, eps: float, delta: float) -> geo.Target:
 
 def _hit_levels(p, stop_set, monitor_set, x, eps_grid, n_paths, h, h_rule,
                 seed, workers, r_far, horizon):
-    """Per eps level, in grid order: (eps, level seed, totals over blocks of
-    the four ``_hit_block`` counts).  One worker pool serves all levels."""
+    """Per eps level, in grid order: (eps, totals over blocks of the four
+    ``_hit_block`` counts).  One worker pool serves all levels."""
     sizes = _block_sizes(n_paths)
     with _block_map(len(sizes), workers) as map_blocks:
         for i, eps in enumerate(eps_grid):
@@ -191,12 +200,12 @@ def _hit_levels(p, stop_set, monitor_set, x, eps_grid, n_paths, h, h_rule,
             sim.check_resolution(he, stop_target)
             monitor_target = (None if monitor_set is None
                               else _make_target(monitor_set, eps, 0.0))
-            fn = partial(_hit_block, sizes=sizes, master_seed=seed + 1000 * i,
+            fn = partial(_hit_block, sizes=sizes, seed=seed, level=i,
                          p=p, stop_target=stop_target,
                          monitor_target=monitor_target, x0=tuple(x), h=he,
                          n_steps=int(math.ceil(horizon / he)), r_far=r_far)
             res = map_blocks(fn)
-            yield eps, seed + 1000 * i, [sum(col) for col in zip(*res)]
+            yield eps, [sum(col) for col in zip(*res)]
 
 
 def _hitting_theory(p: StableParams, set_, x):
@@ -257,10 +266,10 @@ def hitting_experiment(p: StableParams, set_, x, eps_grid, n_paths: int,
         horizon = 10.0 * r_far ** p.alpha
     theory, source, alt, hval = _hitting_theory(p, set_, x)
     estimates, scaled, censored = [], [], []
-    for eps, lvl_seed, (hits, _, _, live) in _hit_levels(
+    for eps, (hits, _, _, live) in _hit_levels(
             p, set_, None, x, eps_grid, n_paths, h, h_rule, seed, workers,
             r_far, horizon):
-        est = _bernoulli_estimate(hits, n_paths, lvl_seed)
+        est = _bernoulli_estimate(hits, n_paths, seed)
         estimates.append(est)
         censored.append(live / n_paths)
         sf = abs(math.log(eps)) if p.is_log_case else eps ** (p.alpha - 1.0)
@@ -300,20 +309,20 @@ def strike_experiment(p: StableParams, set_big, set_sub, x, eps_grid,
     the finite-eps surrogate of the strike-point law."""
     p.require_conditioning()
     x = np.asarray(x, dtype=float)
-    _check_subset(set_sub, set_big, sim.rng_for_block(seed, 999_999))
+    _check_subset(set_sub, set_big, sim.rng_for_block(seed, sim.SUBSET_CHECK, 0, 0))
     if horizon is None:
         horizon = 10.0 * r_far ** p.alpha
     h_big = _harmonic(set_big, x[None, :], p)[0]
     h_sub = _harmonic(set_sub, x[None, :], p)[0]
     theory = float(h_sub / h_big)
     estimates, scaled, degenerate, raw, ever_ratio = [], [], [], [], []
-    for eps, lvl_seed, (hits_inner, hits_outer, first_strikes, _) in _hit_levels(
+    for eps, (hits_inner, hits_outer, first_strikes, _) in _hit_levels(
             p, set_sub, set_big, x, eps_grid, n_paths, h, h_rule, seed,
             workers, r_far, horizon):
         raw.append((hits_inner, hits_outer, first_strikes))
         if hits_outer == 0:
             degenerate.append(eps)
-            estimates.append(MCEstimate(math.nan, math.nan, n_paths, lvl_seed))
+            estimates.append(MCEstimate(math.nan, math.nan, n_paths, seed))
             scaled.append(math.nan)
             ever_ratio.append(math.nan)
             continue
@@ -322,7 +331,7 @@ def strike_experiment(p: StableParams, set_big, set_sub, x, eps_grid,
         # finite eps and is reported alongside
         ratio = first_strikes / hits_outer
         se = math.sqrt(max(ratio * (1.0 - ratio), 0.0) / hits_outer)
-        estimates.append(MCEstimate(ratio, se, hits_outer, lvl_seed))
+        estimates.append(MCEstimate(ratio, se, hits_outer, seed))
         scaled.append(ratio)
         ever_ratio.append(hits_inner / hits_outer)
     fields = _grid_fields(
@@ -403,15 +412,15 @@ def _sample_eta_window(S, win: Window, p, rng, m: int, hmax: float) -> np.ndarra
     return out
 
 
-def _duality_block(b, sizes, master_seed, p, S, win_from, win_to, t, h,
+def _duality_block(b, sizes, seed, side, p, S, win_from, win_to, t, h,
                    hmax, weighted):
-    rng = sim.rng_for_block(master_seed, b)
+    rng = sim.rng_for_block(seed, sim.DUALITY, side, b)
     m = sizes[b]
     xs = _sample_eta_window(S, win_from, p, rng, m, hmax)
     steps = 1 if h is None else max(1, round(t / h))
     xt = xs.copy()
     sim.run_paths(p, xt, t / steps, steps, rng,
-                  lambda k, alive, xl: np.zeros(alive.size, dtype=bool))
+                  lambda k, alive, X: np.full(alive.size, len(X)))
     vals = win_from(xs) * win_to(xt)
     if weighted:
         mask = vals != 0.0
@@ -455,15 +464,15 @@ def duality_experiment(p: StableParams, S: geo.CapSet, window_f: Window,
         sizes = _block_sizes(n_paths)
         with _block_map(len(sizes), workers) as map_blocks:
             res = map_blocks(partial(
-                _duality_block, sizes=sizes, master_seed=seed, p=p, S=S,
+                _duality_block, sizes=sizes, seed=seed, side=0, p=p, S=S,
                 win_from=window_g, win_to=window_f, t=t, h=h, hmax=hmax_g,
                 weighted=False))
             lhs = _mean_estimate(res, n_paths, mass_g, seed)
             res = map_blocks(partial(
-                _duality_block, sizes=sizes, master_seed=seed + 77_000, p=p,
+                _duality_block, sizes=sizes, seed=seed, side=1, p=p,
                 S=S, win_from=window_f, win_to=window_g, t=t, h=h,
                 hmax=hmax_f, weighted=True))
-            rhs = _mean_estimate(res, n_paths, mass_f, seed + 77_000)
+            rhs = _mean_estimate(res, n_paths, mass_f, seed)
     # the two sides agree within 4 SE
     tol = 4.0 * math.hypot(lhs.stderr, rhs.stderr)
     ok = abs(lhs.value - rhs.value) <= tol
@@ -493,17 +502,21 @@ def _mean_estimate(res, n, scale, seed) -> MCEstimate:
 
 # -- occupation / potential consistency ---------------------------------------
 
-def _occupation_block(b, sizes, master_seed, p, x0, center, radius, h,
+def _occupation_block(b, sizes, seed, p, x0, center, radius, h,
                       n_steps, r_far):
-    rng = sim.rng_for_block(master_seed, b)
+    rng = sim.rng_for_block(seed, sim.OCCUPATION, 0, b)
     m = sizes[b]
     x = np.tile(np.asarray(x0, dtype=float), (m, 1))
     occ = np.zeros(m)
     cen = np.asarray(center, dtype=float)
 
-    def stop(k, alive, xl):
-        occ[alive] += h * (geo.row_norms(xl - cen) <= radius)
-        return ~(geo.row_norms(xl) <= r_far)
+    def stop(k, alive, X):
+        first = sim.first_true(~(sim.per_point(geo.row_norms, X) <= r_far))
+        # the steps up to the freeze step, that one included
+        upto = np.arange(len(X))[:, None] <= first
+        inb = sim.per_point(geo.row_norms, X - cen) <= radius
+        occ[alive] += h * np.count_nonzero(inb & upto, axis=0)
+        return first
 
     sim.run_paths(p, x, h, n_steps, rng, stop)
     return float(occ.sum()), float((occ ** 2).sum())
@@ -516,7 +529,7 @@ def occupation_check(p: StableParams, x, center, radius: float, n_paths: int,
     """Expected grid occupation of a ball versus the Riesz potential of its
     indicator; returns (estimate, theory)."""
     sizes = _block_sizes(n_paths)
-    fn = partial(_occupation_block, sizes=sizes, master_seed=seed, p=p,
+    fn = partial(_occupation_block, sizes=sizes, seed=seed, p=p,
                  x0=tuple(np.asarray(x, dtype=float)), center=tuple(center),
                  radius=radius, h=h, n_steps=int(horizon / h), r_far=r_far)
     with _block_map(len(sizes), workers) as map_blocks:
@@ -529,21 +542,23 @@ def occupation_check(p: StableParams, x, center, radius: float, n_paths: int,
 
 # -- time reversal ------------------------------------------------------------
 
-def _reversal_block(b, sizes, master_seed, p, S, r_exit, h, n_steps, r_far,
+def _reversal_block(b, sizes, seed, p, S, r_exit, h, n_steps, r_far,
                     bin_edges, clip, guard):
-    rng = sim.rng_for_block(master_seed, b)
+    rng = sim.rng_for_block(seed, sim.REVERSAL, 0, b)
     m = sizes[b]
     x = geo.sample_boundary(S, rng, m)
-    # pos[i, k] is written for k <= end[i], the only entries read below
+    # pos[i, k] is set for every k <= end[i] (the round that freezes a
+    # path may write past it), and only those entries are read below
     pos = np.empty((m, n_steps + 1, p.d))
     pos[:, 0, :] = x
     end = np.full(m, n_steps, dtype=int)
 
-    def stop(k, alive, xl):
-        pos[alive, k] = xl
-        gone = geo.row_norms(xl) > r_far
-        end[alive[gone]] = k
-        return gone
+    def stop(k, alive, X):
+        pos[alive, k:k + len(X)] = X.transpose(1, 0, 2)
+        first = sim.first_true(sim.per_point(geo.row_norms, X) > r_far)
+        j = np.flatnonzero(first < len(X))
+        end[alive[j]] = k + first[j]
+        return first
 
     # paths live at the end reached the horizon before the far field
     truncated = int(sim.run_paths(p, x, h, n_steps, rng, stop).size)
@@ -605,7 +620,7 @@ def reversal_experiment(p: StableParams, S: geo.CapSet, r_exit: float = 2.0,
     bin_edges = np.linspace(0.0, r_exit, n_bins + 1)
     # full path storage per block; keep blocks small enough for memory
     sizes = _block_sizes(n_paths, block=1024)
-    fn = partial(_reversal_block, sizes=sizes, master_seed=seed, p=p, S=S,
+    fn = partial(_reversal_block, sizes=sizes, seed=seed, p=p, S=S,
                  r_exit=r_exit, h=h, n_steps=n_steps, r_far=r_far,
                  bin_edges=bin_edges, clip=clip, guard=guard)
     with _block_map(len(sizes), workers) as map_blocks:
@@ -620,7 +635,7 @@ def reversal_experiment(p: StableParams, S: geo.CapSet, r_exit: float = 2.0,
     truncated = sum(r[4] for r in res)
     first_inside = float(np.mean([r[5] for r in res]))
 
-    rng = sim.rng_for_block(seed, 10 ** 6)
+    rng = sim.rng_for_block(seed, sim.REVERSAL_FORWARD, 0, 0)
     bins_out = []
     agree = 0
     occupied = 0

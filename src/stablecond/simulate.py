@@ -3,11 +3,12 @@
 Increments are exactly isotropic: a Gaussian vector evaluated at an
 independent positive-stable subordinator time, so that one step of
 length h has characteristic function exp(-h |theta|^alpha) for every h.
-Every experiment steps its paths in blocks through ``run_paths``, with a
-stop callback that records what the experiment observes and says which
-paths to freeze.  Hit detection is grid-point membership; there is no
-bridge interpolation between grid points, and the resulting one-sided
-bias is quantified by refinement studies rather than corrected.
+Every experiment steps its paths in blocks through ``run_paths``, in
+rounds of several steps per live path, with a stop callback that records
+what the experiment observes and says at which step each path freezes.
+Hit detection is grid-point membership; there is no bridge interpolation
+between grid points, and the resulting one-sided bias is quantified by
+refinement studies rather than corrected.
 """
 
 from __future__ import annotations
@@ -20,10 +21,18 @@ from . import geometry as geo
 from .potential import StableParams
 
 
-def rng_for_block(master_seed: int, block_index: int) -> np.random.Generator:
-    """Counter-based generator for one path block, reproducible regardless
-    of scheduling: stream = Philox keyed by (master seed, block index)."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(block_index,))
+# Stream ids: the first entry of the spawn key (stream, level, block) of
+# every random stream, one id per use of randomness.
+(HIT, SUBSET_CHECK, MARTINGALE, DUALITY, OCCUPATION, REVERSAL,
+ REVERSAL_FORWARD, REENTRY) = range(8)
+
+
+def rng_for_block(seed: int, *key: int) -> np.random.Generator:
+    """Counter-based generator for one stream, reproducible regardless of
+    scheduling: Philox seeded by ``SeedSequence(seed, spawn_key=key)``.
+    Experiments key a path block as (stream id, level, block index), so no
+    two (seed, level) pairs share a stream."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -36,11 +45,25 @@ def sample_positive_stable(beta: float, rng: np.random.Generator,
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("sample_positive_stable requires beta in (0, 1)")
-    u = rng.uniform(0.0, math.pi, size)
+    # in place; the same operations in the same order as
+    # u = uniform(0, pi); (sin(beta u)^beta sin((1-beta) u)^(1-beta)
+    # / sin(u))^(1/(1-beta)) / e, raised to (1-beta)/beta
+    u = rng.random(size)
+    u *= math.pi
     e = rng.exponential(1.0, size)
-    a_u = (np.sin(beta * u) ** beta * np.sin((1.0 - beta) * u) ** (1.0 - beta)
-           / np.sin(u)) ** (1.0 / (1.0 - beta))
-    return (a_u / e) ** ((1.0 - beta) / beta)
+    a = np.multiply(u, beta)
+    np.sin(a, out=a)
+    a **= beta
+    b = np.multiply(u, 1.0 - beta)
+    np.sin(b, out=b)
+    b **= 1.0 - beta
+    a *= b
+    np.sin(u, out=u)
+    a /= u
+    a **= 1.0 / (1.0 - beta)
+    a /= e
+    a **= (1.0 - beta) / beta
+    return a
 
 
 def sample_increment(p: StableParams, h: float, rng: np.random.Generator,
@@ -53,9 +76,13 @@ def sample_increment(p: StableParams, h: float, rng: np.random.Generator,
     """
     if h <= 0.0:
         raise ValueError("step h must be positive")
-    s = h ** (2.0 / p.alpha) * sample_positive_stable(p.alpha / 2.0, rng, size)
+    s = sample_positive_stable(p.alpha / 2.0, rng, size)
+    s *= h ** (2.0 / p.alpha)
+    s *= 2.0
+    np.sqrt(s, out=s)
     z = rng.standard_normal((size, p.d))
-    return np.sqrt(2.0 * s)[:, None] * z
+    z *= s[:, None]
+    return z
 
 
 def check_resolution(h: float, target: geo.Target):
@@ -66,31 +93,52 @@ def check_resolution(h: float, target: geo.Target):
             f"need h <= eps/4")
 
 
+def per_point(fn, X: np.ndarray, *args) -> np.ndarray:
+    """``fn(points, *args)``, a function of one value per point, over the
+    positions X (K, m, d) of a round, shaped (K, m)."""
+    return fn(X.reshape(-1, X.shape[2]), *args).reshape(X.shape[:2])
+
+
+def first_true(mask: np.ndarray) -> np.ndarray:
+    """Per column of a (K, m) mask, the first row that is True, or K."""
+    return np.where(mask.any(axis=0), mask.argmax(axis=0), mask.shape[0])
+
+
 def run_paths(p: StableParams, x: np.ndarray, h: float, n_steps: int,
               rng: np.random.Generator, stop) -> np.ndarray:
     """Step the block of paths ``x`` (m, d) in place, for at most n_steps.
 
-    The live positions are kept in one contiguous array ``xl``, in path
-    order.  Step k (from 1) draws one increment per live path, adds it to
-    ``xl``, and calls ``stop(k, alive, xl)``: ``alive`` holds the indices
-    into ``x`` of the rows of ``xl``.  The callback records what its
-    experiment observes and returns a boolean mask over ``alive`` of the
-    paths to freeze; a frozen path's position is written back to ``x`` and
-    it draws nothing more.  The loop ends at the horizon or when no path is
-    live, and the live positions are written back.  Returns the indices of
-    the paths still live after the last step.
+    The paths step in rounds.  A round from step k (from 1) draws K steps
+    for each of the live paths in one ``sample_increment`` call, with
+    K = min(m // live, n_steps - k + 1), so no round draws more than the
+    first and none passes the horizon; while every path is live, K = 1.
+    The draws are laid out step-major, and ``X`` (K, live, d) holds the
+    live positions at steps k, ..., k + K - 1.  The engine then calls
+    ``stop(k, alive, X)``: ``alive`` holds the indices into ``x`` of the
+    columns of ``X``.  The callback records what its experiment observes
+    up to each path's freeze step and returns, per live path, the offset
+    in [0, K) of the step that freezes it, or K if it stays live (see
+    ``first_true``).  A frozen path's position at its freeze step is
+    written back to ``x`` and it draws nothing more.  The loop ends at the
+    horizon or when no path is live, and the live positions are written
+    back.  Returns the indices of the paths still live after the last step.
     """
     alive = np.arange(len(x))
     xl = x.copy()
-    for k in range(1, n_steps + 1):
-        if alive.size == 0:
-            break
-        xl += sample_increment(p, h, rng, alive.size)
-        frozen = stop(k, alive, xl)
-        if frozen.any():
-            x[alive[frozen]] = xl[frozen]
-            keep = ~frozen
-            alive, xl = alive[keep], xl[keep]
+    k = 1
+    while k <= n_steps and alive.size:
+        K = min(len(x) // alive.size, n_steps - k + 1)
+        X = sample_increment(p, h, rng, K * alive.size).reshape(K, alive.size, -1)
+        X[0] += xl
+        np.cumsum(X, axis=0, out=X)
+        first = stop(k, alive, X)
+        keep = first == K
+        if not keep.all():
+            gone = np.flatnonzero(~keep)
+            x[alive[gone]] = X[first[gone], gone]
+            alive = alive[keep]
+        xl = X[-1, keep]
+        k += K
     x[alive] = xl
     return alive
 
@@ -101,16 +149,18 @@ def reentry_probability(p: StableParams, r_far: float = 50.0,
                         horizon: float = 400.0) -> float:
     """Monte Carlo estimate of re-entering B(0, annulus) after reaching the
     far-field radius; quantifies the truncation bias of far-field stopping."""
-    rng = rng_for_block(seed, 0)
+    rng = rng_for_block(seed, REENTRY, 0, 0)
     g = rng.standard_normal((n_paths, p.d))
     x = r_far * g / np.linalg.norm(g, axis=1, keepdims=True)
     reentered = np.zeros(n_paths, dtype=bool)
 
-    def stop(k, alive, xl):
-        r = geo.row_norms(xl)
+    def stop(k, alive, X):
+        r = per_point(geo.row_norms, X)
         back = r < annulus
-        reentered[alive[back]] = True
-        return back | (r > 10.0 * r_far)
+        first = first_true(back | (r > 10.0 * r_far))
+        j = np.flatnonzero(first < len(X))
+        reentered[alive[j[back[first[j], j]]]] = True
+        return first
 
     run_paths(p, x, h, int(horizon / h), rng, stop)
     return float(reentered.mean())

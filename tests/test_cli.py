@@ -272,21 +272,21 @@ PINS = {
         "report.csv": "34bbdadcb45f97c0ad60df663aba02afe9af21cc036c08d685cf452533d7c81b",
         "plot.dat": "9789dc215afc5ccc427cde633ead28a9f71090514aa7f8b62283f367ab1f7e75"}),
     "hitting": (0, {
-        "report.json": "a0f2c88a016a68a2b7a760b99cb4d2940161b3026a3610513aa3520df5dd1d78",
-        "report.csv": "4af2c4fbe99b262807e1e63f2a70230dc9bd6292d58fee97264a0f4c1f2608e1",
-        "plot.dat": "061a6f87e43f3cc7e93da8e486117c638de4edbfc0b8ad77a231ab1bbf5f41b0"}),
+        "report.json": "385a65b2af0664833aadd64be5e6c089b95e140941c0413b8a7beffc1d7522d7",
+        "report.csv": "9696eb931c8e549bf4a185a8eead724649babf03457378c7046d12871db93f03",
+        "plot.dat": "cafab934a7b214e16ed2f404d89e435b8f6fdf2a41aa4891722c84e6e8eed0ca"}),
     "strike": (0, {
-        "report.json": "b7dec46d4efe9046c17259f4433b229f9ae5a104551b730e9a85be5a380dbfb0",
-        "report.csv": "a1f893d9b1f35a4f69935cc912be3e53a997bd4e5a6cfbf0d3a8f5b561c2d183",
-        "plot.dat": "c649d5a0ae02af30617776a87e99f7f45720c4475699b04a7ed31a451c41aad6"}),
+        "report.json": "4db5122364e39855c6246fcd7be972cb83fe07558c0027f1472a5b75e5596916",
+        "report.csv": "226f6bb0cccd7ec4e4eb5fd9712877a6529faaf9ac212fda89b0c1769b81d0ed",
+        "plot.dat": "3a0136d96f32d7bc113fe9ddf855ba70ab34961bb0f40dc4865802c8a7475d12"}),
     "duality": (0, {
-        "report.json": "aba10bff4a3d55c9f5f86cd735f7e564b31f9758852149ea96ce803cf12b9e40",
-        "report.csv": "58f46d65a9c09e4c31e0d9e42c5539f8a34fde5769365dd96d754e0a7f222e2d",
-        "plot.dat": "a0933ab73f693e13b1b946b6f73e504b0a73049ff80b873b443ee1af130f924a"}),
+        "report.json": "17efcb6e117b354573aa9f03a330d3dd76cb6f9af5a93cac71f4a0eb0c6f5541",
+        "report.csv": "a4a4a5bf88813305105951d18fdb5de3b357e440b1025fa5adba1c0a2092aabe",
+        "plot.dat": "0bda0da1cc5bf080e7ce1b23d47f81b568182ac7a425ced645119870753d894e"}),
     "reversal": (0, {
-        "report.json": "3f1670fab74396d5895b32efb2e9287a9d98cb756bd301a4fba01a5015b140a3",
-        "report.csv": "7b7b486b270a207e805d993d7662e82efce9372c2606e9b1d29421230efa55cd",
-        "plot.dat": "a4ed6a05e2de35b76389facdf78d53c3217590c4de8cd187da9c299b6f16898e"}),
+        "report.json": "4027829833e42e5de67f69c2d7709754834b062c5d6c3aab1f38368dbe109da1",
+        "report.csv": "5c595f64df313adeb4c43c8820fed5c3444e8f5a3e3bf8159e66bca81f22ce1d",
+        "plot.dat": "3aa1c620d17e390cf1bd26030cd0d98f031d4aab96e5cf1d00f802115e409e1d"}),
 }
 
 

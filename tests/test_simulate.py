@@ -57,6 +57,26 @@ def test_increment_characteristic_function():
         assert abs(srow.mean()) < 4.0 * srow.std() / math.sqrt(len(srow))
 
 
+@pytest.mark.parametrize("alpha", [0.02, 0.5, 1.0, 1.5, 1.99])
+def test_increment_matches_out_of_place_formula(alpha):
+    # the in-place sampler does the formula's operations in the same order,
+    # so its draws are bit-identical to it on the same stream
+    beta = alpha / 2.0
+    for d, h in ((2, 0.05), (3, 1.0)):
+        got = sim.sample_increment(StableParams(alpha, d), h,
+                                   sim.rng_for_block(9, d), 5000)
+        rng = sim.rng_for_block(9, d)
+        u = rng.uniform(0.0, math.pi, 5000)
+        e = rng.exponential(1.0, 5000)
+        with np.errstate(over="ignore"):
+            a_u = (np.sin(beta * u) ** beta
+                   * np.sin((1.0 - beta) * u) ** (1.0 - beta)
+                   / np.sin(u)) ** (1.0 / (1.0 - beta))
+            s = h ** (2.0 / alpha) * (a_u / e) ** ((1.0 - beta) / beta)
+        want = np.sqrt(2.0 * s)[:, None] * rng.standard_normal((5000, d))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_increment_isotropy():
     p = StableParams(0.8, 2)
     rng = sim.rng_for_block(5, 0)
@@ -100,10 +120,13 @@ def _hit_run(p, x0, h, n_steps, T, rng, m=1, r_far=50.0):
     x = np.tile(np.asarray(x0, dtype=float), (m, 1))
     hit = np.zeros(m, dtype=bool)
 
-    def stop(k, alive, xl):
-        inside = ge.in_target_many(xl, T)
-        hit[alive[inside]] = True
-        return inside | (np.linalg.norm(xl, axis=1) > r_far)
+    def stop(k, alive, X):
+        inside = sim.per_point(ge.in_target_many, X, T)
+        first = sim.first_true(
+            inside | (np.linalg.norm(X, axis=2) > r_far))
+        j = np.flatnonzero(first < len(X))
+        hit[alive[j[inside[first[j], j]]]] = True
+        return first
 
     return hit, x, sim.run_paths(p, x, h, n_steps, rng, stop)
 
@@ -118,20 +141,26 @@ def test_run_paths_trivial_cases(monkeypatch):
         return draw(p, h, rng, size)
 
     monkeypatch.setattr(sim, "sample_increment", counted)
-    # every path draws one increment per step until it is frozen
+    # every live path draws K increments per round of K steps, and a path
+    # draws nothing after the round in which it is frozen
     x = np.tile([2.0, 0.0], (200, 1))
     frozen_at = np.full(200, 40)
+    rounds = []
 
-    def stop(k, alive, xl):
-        gone = np.linalg.norm(xl, axis=1) > 3.0
-        frozen_at[alive[gone]] = k
-        return gone
+    def stop(k, alive, X):
+        rounds.append(X.shape[0] * alive.size)
+        first = sim.first_true(np.linalg.norm(X, axis=2) > 3.0)
+        j = np.flatnonzero(first < len(X))
+        frozen_at[alive[j]] = k + first[j]
+        return first
 
     live = sim.run_paths(p, x, 0.05, 40, sim.rng_for_block(2, 0), stop)
     assert 0 < live.size < 200
     assert np.all(np.linalg.norm(x[live], axis=1) <= 3.0)
     assert np.all(frozen_at[live] == 40)
-    assert draws[0] == 200 and sum(draws) == frozen_at.sum()
+    assert np.all(np.linalg.norm(x[frozen_at < 40], axis=1) > 3.0)
+    assert draws == rounds and draws[0] == 200 and max(draws) <= 200
+    assert frozen_at.sum() <= sum(draws)
     # a block that starts inside the target is all hits and draws nothing
     draws.clear()
     rep = cond.hitting_experiment(p, ge.CapSet.full_sphere(2), (1.1, 0.0), [0.2],
@@ -141,55 +170,68 @@ def test_run_paths_trivial_cases(monkeypatch):
     assert draws == []
 
 
-def _gather_scatter_run(p, x, h, n_steps, rng, stop, draws):
-    """The stepping loop that keeps no live array: each step updates
-    x[alive] in place and hands the callback the whole block."""
+def _gather_scatter_run(p, x, h, n_steps, rng, freeze, rounds=True):
+    """The stepping loop written step by step: each round draws K steps per
+    live path (K = 1 without ``rounds``), in the engine's step-major
+    layout, then updates x[alive] one step at a time and drops the paths
+    that ``freeze(k, idx, pos)`` freezes.  Returns (live indices, the
+    (first step, K, draw size) of every round)."""
     alive = np.arange(len(x))
-    for k in range(1, n_steps + 1):
-        if alive.size == 0:
-            break
-        draws.append(alive.size)
-        x[alive] += sim.sample_increment(p, h, rng, alive.size)
-        alive = alive[~stop(k, alive, x)]
-    return alive
+    log = []
+    k = 1
+    while k <= n_steps and alive.size:
+        K = min(len(x) // alive.size, n_steps - k + 1) if rounds else 1
+        inc = sim.sample_increment(p, h, rng, K * alive.size)
+        inc = inc.reshape(K, alive.size, -1)
+        log.append((k, K, K * alive.size))
+        live = np.ones(alive.size, dtype=bool)
+        for j in range(K):
+            cols = np.flatnonzero(live)
+            idx = alive[cols]
+            x[idx] += inc[j, cols]
+            live[cols[freeze(k + j, idx, x[idx])]] = False
+        alive = alive[live]
+        k += K
+    return alive, log
 
 
-@pytest.mark.parametrize("case", ["staggered", "all_at_step_1", "never"])
+@pytest.mark.parametrize("case", ["staggered", "all_at_step_1", "never",
+                                  "horizon_cut"])
 def test_run_paths_matches_gather_scatter_loop(monkeypatch, case):
     p = StableParams(0.7, 3)
-    m, n_steps = 300, 25
+    m = 300
+    n_steps = 13 if case == "horizon_cut" else 25
     x0 = np.random.default_rng(3).standard_normal((m, 3))
 
     def freeze(k, alive, pos):
+        # per step, from the path index and its position only
         if case == "all_at_step_1":
             return np.ones(alive.size, dtype=bool)
         if case == "never":
             return np.zeros(alive.size, dtype=bool)
+        if case == "horizon_cut":
+            # 4 of 5 paths at step 1, then 1 in 7 of the rest at step 9
+            return (alive % 5 != 0) & (k == 1) | (alive % 7 == 0) & (k == 9)
         # by index at every fourth step, by position at every step
         return (((alive + k) % 11 == 0) & (k % 4 == 0)) \
             | (np.linalg.norm(pos, axis=1) > 4.0)
 
-    seen_ref, draws_ref = [], []
-
-    def stop_ref(k, alive, x):
-        seen_ref.append((k, alive.copy(), x[alive].copy()))
-        return freeze(k, alive, x[alive])
-
     x_ref = x0.copy()
-    live_ref = _gather_scatter_run(p, x_ref, 0.05, n_steps, sim.rng_for_block(8, 2),
-                                   stop_ref, draws_ref)
+    live_ref, log_ref = _gather_scatter_run(p, x_ref, 0.05, n_steps,
+                                            sim.rng_for_block(8, 2), freeze)
 
-    seen, draws = [], []
+    log, draws = [], []
     draw = sim.sample_increment
 
     def counted(p, h, rng, size):
         draws.append(size)
         return draw(p, h, rng, size)
 
-    def stop(k, alive, xl):
-        assert xl.flags.c_contiguous and xl.shape == (alive.size, 3)
-        seen.append((k, alive.copy(), xl.copy()))
-        return freeze(k, alive, xl)
+    def stop(k, alive, X):
+        assert X.shape == (X.shape[0], alive.size, 3)
+        log.append((k, len(X), X.shape[0] * alive.size))
+        mask = np.stack([freeze(k + j, alive, X[j]) for j in range(len(X))])
+        return sim.first_true(mask)
 
     monkeypatch.setattr(sim, "sample_increment", counted)
     x = x0.copy()
@@ -197,18 +239,71 @@ def test_run_paths_matches_gather_scatter_loop(monkeypatch, case):
 
     assert np.array_equal(x, x_ref)
     assert np.array_equal(live, live_ref)
-    assert draws == draws_ref
-    assert len(seen) == len(seen_ref)
-    for (k, alive, xl), (k_ref, alive_ref, x_alive_ref) in zip(seen, seen_ref):
-        assert k == k_ref
-        assert np.array_equal(alive, alive_ref)
-        assert np.array_equal(xl, x_alive_ref)
+    assert log == log_ref
+    assert draws == [size for _, _, size in log]
+    assert max(draws) <= m
+    # the rounds cover steps 1, 2, ... without a gap and stop at the horizon
+    assert [k for k, _, _ in log] == list(np.cumsum([1] + [K for _, K, _ in log])[:-1])
+    assert log[-1][0] + log[-1][1] - 1 <= n_steps
     if case == "all_at_step_1":
         assert draws == [m] and live.size == 0
     elif case == "never":
+        # every path stays live, so every round is one step: the per-step
+        # loop, bit for bit
         assert draws == [m] * n_steps and np.array_equal(live, np.arange(m))
+        x_step = x0.copy()
+        _gather_scatter_run(p, x_step, 0.05, n_steps, sim.rng_for_block(8, 2),
+                            freeze, rounds=False)
+        assert np.array_equal(x, x_step)
+    elif case == "horizon_cut":
+        # rounds of 5 steps from step 2; the last is cut to steps 12-13
+        assert [(k, K) for k, K, _ in log] == [(1, 1), (2, 5), (7, 5), (12, 2)]
+        assert 0 < live.size < m // 5
     else:
-        assert len(set(draws)) > 5 and 0 < live.size < m
+        assert any(K > 1 for _, K, _ in log) and 0 < live.size < m
+
+
+def _scripted(monkeypatch, script):
+    """Make ``sample_increment`` return the arrays of ``script`` in turn."""
+    calls = iter(script)
+
+    def scripted(p, h, rng, size):
+        inc = np.array(next(calls), dtype=float)
+        assert inc.shape == (size, p.d)
+        return inc
+
+    monkeypatch.setattr(sim, "sample_increment", scripted)
+
+
+def test_round_observations_stop_at_the_freeze(monkeypatch):
+    # four paths from (0, 2); three leave the far field at step 1, so the
+    # fourth steps alone in one round of steps 2-5 (K = 4 // 1)
+    p = StableParams(0.5, 2)
+    far = [100.0, 0.0]
+    a_cap = ge.shell(ge.CapSet.single((1.0, 0.0), 0.3), 0.1)
+    b_cap = ge.shell(ge.CapSet.single((-1.0, 0.0), 0.3), 0.1)
+    # steps 2-5 of the fourth path: (0, 3), (1, 0), (-1, 0), (0, 3)
+    round_ = [[0.0, 0.0], [1.0, -3.0], [-2.0, 0.0], [1.0, 3.0]]
+    for stop_target, monitor_target, counts in (
+            # stop at step 3, monitor entry only at step 4: not counted
+            (a_cap, b_cap, (1, 0, 0, 0)),
+            # monitor entry at step 3, stop at step 4: counted, and the
+            # entry point is outside the stop target
+            (b_cap, a_cap, (1, 1, 0, 0)),
+            # monitor entry and stop both at step 3: counted, inside
+            (a_cap, ge.shell(ge.CapSet.full_sphere(2), 0.1), (1, 1, 1, 0))):
+        _scripted(monkeypatch, [[far, far, far, [0.0, 1.0]], round_])
+        assert cond._hit_block(0, [4], 0, 0, p, stop_target, monitor_target,
+                               (0.0, 2.0), 0.01, 5, 50.0) == counts
+    # occupation of the ball B((0, 3), 0.5): the fourth path is inside at
+    # steps 1 and 2 and leaves the far field at step 3; steps 4 and 5, back
+    # inside after the freeze, add nothing
+    h = 0.01
+    _scripted(monkeypatch, [[far, far, far, [0.0, 1.0]],
+                            [[0.0, 0.0], [0.0, 100.0], [0.0, -100.0], [0.0, 0.0]]])
+    occ, occ2 = cond._occupation_block(0, [4], 0, p, (0.0, 2.0), (0.0, 3.0),
+                                       0.5, h, 5, 50.0)
+    assert occ == 2 * h and occ2 == (2 * h) ** 2
 
 
 def test_resolution_rule():
@@ -239,13 +334,10 @@ def test_refinement_one_sided():
     freqs = []
     for h in (0.025, 0.0125):
         T = ge.shell(ge.CapSet.full_sphere(2), 0.2)
-        hits = 0
-        for k in range(n):
-            # one path per run, on the stream of block 0 of seed 1000 + k
-            hit, _, _ = _hit_run(p, (1.5, 0.0), h, int(math.ceil(30.0 / h)), T,
-                                 sim.rng_for_block(1000 + k, 0))
-            hits += int(hit[0])
-        freqs.append(hits / n)
+        # one n-path block per h, on the stream of block 0 of seed 1000
+        hit, _, _ = _hit_run(p, (1.5, 0.0), h, int(math.ceil(30.0 / h)), T,
+                             sim.rng_for_block(1000, 0), m=n)
+        freqs.append(hit.sum() / n)
     se = math.sqrt(2 * freqs[0] * (1 - freqs[0]) / n)
     assert freqs[1] >= freqs[0] - 4 * se
 
