@@ -37,7 +37,7 @@ def _beta(a: float, b: float) -> float:
 
 # -- specfun suite ------------------------------------------------------------
 
-def check_unit_normalisation(tol: float = 1e-12) -> CheckResult:
+def check_unit_normalisation() -> CheckResult:
     """2^a c_{a,d} pi^{d/2} Gamma(1-a) Gamma((2-a)/2) / Gamma((d+a-2)/2) = 1."""
     worst = 0.0
     for a in (0.1, 0.3, 0.5, 0.7, 0.9):
@@ -46,34 +46,32 @@ def check_unit_normalisation(tol: float = 1e-12) -> CheckResult:
             lhs = 2.0 ** a * c * math.pi ** (d / 2.0) * gamma_ratio(
                 (1.0 - a, (2.0 - a) / 2.0), ((d + a - 2.0) / 2.0,))
             worst = max(worst, abs(lhs - 1.0))
-    return CheckResult("unit-normalisation identity", worst <= tol,
-                       f"max |lhs - 1| = {worst:.2e} (tol {tol:g})")
+    return CheckResult("unit-normalisation identity", worst <= 1e-12,
+                       f"max |lhs - 1| = {worst:.2e} (tol 1e-12)")
 
 
-def check_reflection_combination(n: int = 100, tol: float = 1e-10,
-                                 seed: int = 100) -> CheckResult:
+def check_reflection_combination() -> CheckResult:
     """(-z)^{-a/2} 2F1(a/2,a;1+a/2;1/z) + (-z)^{a/2} 2F1(a/2,a;1+a/2;z)
     equals Gamma(a/2) Gamma((2+a)/2) / Gamma(a) for z < 0."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(100)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(100):
         a = rng.uniform(0.05, 1.95)
         z = rng.uniform(-10.0, -0.1)
         rhs = gamma_ratio((a / 2.0, (2.0 + a) / 2.0), (a,))
         lhs = (-z) ** (-a / 2.0) * gauss_2f1(a / 2.0, a, 1.0 + a / 2.0, 1.0 / z) \
             + (-z) ** (a / 2.0) * gauss_2f1(a / 2.0, a, 1.0 + a / 2.0, z)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    return CheckResult("reflection-combination identity", worst <= tol,
-                       f"max rel err = {worst:.2e} over {n} draws (tol {tol:g})")
+    return CheckResult("reflection-combination identity", worst <= 1e-10,
+                       f"max rel err = {worst:.2e} over 100 draws (tol 1e-10)")
 
 
-def check_angular_kernel(n: int = 50, tol: float = 1e-8,
-                         seed: int = 101) -> CheckResult:
+def check_angular_kernel() -> CheckResult:
     """Angular integral of sin^{d-2}(phi) (a^2+2ar cos(phi)+r^2)^{-nu} against
     its hypergeometric closed form."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(101)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(50):
         d = int(rng.integers(2, 7))
         alpha = rng.uniform(0.05, 1.95)
         nu = (d - alpha) / 2.0
@@ -85,16 +83,15 @@ def check_angular_kernel(n: int = 50, tol: float = 1e-8,
         closed = r ** (-2.0 * nu) * _beta((d - 1) / 2.0, 0.5) \
             * gauss_2f1(nu, nu - d / 2.0 + 1.0, d / 2.0, (a / r) ** 2)
         worst = max(worst, abs(direct - closed) / abs(closed))
-    return CheckResult("angular kernel reduction", worst <= tol,
-                       f"max rel err = {worst:.2e} over {n} draws (tol {tol:g})")
+    return CheckResult("angular kernel reduction", worst <= 1e-8,
+                       f"max rel err = {worst:.2e} over 50 draws (tol 1e-08)")
 
 
-def check_interval_power_kernel(n: int = 50, tol: float = 1e-8,
-                                seed: int = 102) -> CheckResult:
+def check_interval_power_kernel() -> CheckResult:
     """int_0^u x^{nu-1} (u-x)^{mu-1} (x+beta)^lam dx against its closed form."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(102)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(50):
         mu = rng.uniform(0.3, 2.5)
         nu = rng.uniform(0.3, 2.5)
         lam = rng.uniform(-1.5, 1.5)
@@ -105,17 +102,16 @@ def check_interval_power_kernel(n: int = 50, tol: float = 1e-8,
         closed = beta ** lam * u ** (mu + nu - 1.0) * _beta(mu, nu) \
             * gauss_2f1(-lam, nu, mu + nu, -u / beta)
         worst = max(worst, abs(direct - closed) / abs(closed))
-    return CheckResult("interval power kernel reduction", worst <= tol,
-                       f"max rel err = {worst:.2e} over {n} draws (tol {tol:g})")
+    return CheckResult("interval power kernel reduction", worst <= 1e-8,
+                       f"max rel err = {worst:.2e} over 50 draws (tol 1e-08)")
 
 
-def check_binomial_kernel(n: int = 50, tol: float = 1e-8,
-                          seed: int = 103) -> CheckResult:
+def check_binomial_kernel() -> CheckResult:
     """int_0^u x^{mu-1} (1+beta x)^{-nu} dx = u^mu/mu 2F1(nu, mu; 1+mu; -beta u),
     including |beta u| > 1 through the analytic extension."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(103)
     worst = 0.0
-    for k in range(n):
+    for k in range(50):
         mu = rng.uniform(0.3, 2.5)
         nu = rng.uniform(0.3, 2.5)
         while abs((nu - mu) - round(nu - mu)) < 1e-3:
@@ -127,19 +123,19 @@ def check_binomial_kernel(n: int = 50, tol: float = 1e-8,
             lambda x, dxa, dxb: (1.0 + beta * x) ** (-nu), 0.0, u, pa=mu - 1.0)
         closed = u ** mu / mu * gauss_2f1(nu, mu, 1.0 + mu, -beta * u)
         worst = max(worst, abs(direct - closed) / abs(closed))
-    return CheckResult("binomial kernel reduction", worst <= tol,
-                       f"max rel err = {worst:.2e} over {n} draws (tol {tol:g})")
+    return CheckResult("binomial kernel reduction", worst <= 1e-8,
+                       f"max rel err = {worst:.2e} over 50 draws (tol 1e-08)")
 
 
-def check_log_cosine(tol: float = 1e-10) -> CheckResult:
+def check_log_cosine() -> CheckResult:
     """Lobachevsky series value against quadrature of -log cos."""
     worst = 0.0
     for x in np.linspace(-math.pi / 2.0, math.pi / 2.0, 50):
         direct, _ = quad(lambda t: -math.log(math.cos(t)), 0.0, x,
                          limit=200, epsabs=1e-13, epsrel=1e-12)
         worst = max(worst, abs(lobachevsky(float(x)) - direct))
-    return CheckResult("log-cosine integral", worst <= tol,
-                       f"max abs err = {worst:.2e} on 50-point grid (tol {tol:g})")
+    return CheckResult("log-cosine integral", worst <= 1e-10,
+                       f"max abs err = {worst:.2e} on 50-point grid (tol 1e-10)")
 
 
 def specfun_suite() -> list[CheckResult]:
@@ -155,7 +151,7 @@ def specfun_suite() -> list[CheckResult]:
 
 # -- potential suite ----------------------------------------------------------
 
-def check_constant_identities(tol: float = 1e-12) -> CheckResult:
+def check_constant_identities() -> CheckResult:
     worst = 0.0
     for a in (0.1, 0.5, 0.9):
         for d in (2, 3, 5):
@@ -178,13 +174,13 @@ def check_constant_identities(tol: float = 1e-12) -> CheckResult:
         worst = max(worst, abs(ct.get("A_sphere_1")
                                - gamma_ratio(((d - 1) / 2.0,), ())
                                / math.pi ** ((d - 1) / 2.0)))
-    return CheckResult("constant-table identities", worst <= tol,
-                       f"max residual = {worst:.2e} (tol {tol:g})")
+    return CheckResult("constant-table identities", worst <= 1e-12,
+                       f"max residual = {worst:.2e} (tol 1e-12)")
 
 
-def check_interval_potential(tol_flat: float = 1e-6, tol_end: float = 1e-8
-                             ) -> CheckResult:
-    """Constancy of the interval potential and its endpoint Beta value."""
+def check_interval_potential() -> CheckResult:
+    """Constancy of the interval potential (max/min - 1 <= 1e-6 on 41
+    points) and its endpoint Beta value (relative error <= 1e-8)."""
     details = []
     ok = True
     for a in (0.3, 0.5, 0.7):
@@ -193,19 +189,19 @@ def check_interval_potential(tol_flat: float = 1e-6, tol_end: float = 1e-8
         spread = vals.max() / vals.min() - 1.0
         bval = _beta(a / 2.0, 1.0 - a / 2.0)
         end_err = abs(pot.interval_potential(1.0, a) - bval) / bval
-        ok &= spread <= 2.0 * tol_flat and end_err <= tol_end
+        ok &= spread <= 1e-6 and end_err <= 1e-8
         details.append(f"alpha={a}: constant={vals.mean():.12g} "
                        f"(B(a/2,1-a/2)={bval:.12g}), spread={spread:.2e}, "
                        f"endpoint rel err={end_err:.2e}")
     return CheckResult("interval potential constancy", bool(ok), "; ".join(details))
 
 
-def check_shell_potential_trend(eps_grid=(1e-1, 1e-2, 1e-3, 1e-4),
-                                tol_final: float = 0.05) -> CheckResult:
+def check_shell_potential_trend() -> CheckResult:
     """max |U - 1| over 21 shell points decreases along the eps grid and ends
-    below tol (equilibrium normalisation); the raw-normalisation plateau is
+    below 0.05 (equilibrium normalisation); the raw-normalisation plateau is
     reported for comparison."""
     p = StableParams(0.5, 2)
+    eps_grid = (1e-1, 1e-2, 1e-3, 1e-4)
     devs = []
     for eps in eps_grid:
         xs = np.linspace(1.0 - eps, 1.0 + eps, 21)
@@ -213,7 +209,7 @@ def check_shell_potential_trend(eps_grid=(1e-1, 1e-2, 1e-3, 1e-4),
                         for x in xs))
     raw = pot.shell_potential(1.0, eps_grid[-1], p, normalization="raw")
     monotone = all(b < a for a, b in zip(devs, devs[1:]))
-    ok = monotone and devs[-1] <= tol_final
+    ok = monotone and devs[-1] < 0.05
     return CheckResult(
         "shell potential unit limit", ok,
         f"max|U-1| along eps {list(eps_grid)}: "
@@ -221,7 +217,7 @@ def check_shell_potential_trend(eps_grid=(1e-1, 1e-2, 1e-3, 1e-4),
         + f"; raw-normalisation value at eps={eps_grid[-1]:g}: {raw:.4f}")
 
 
-def check_full_sphere_closed_form(tol: float = 1e-6) -> CheckResult:
+def check_full_sphere_closed_form() -> CheckResult:
     import itertools
     from . import geometry as geo
     worst = 0.0
@@ -232,13 +228,14 @@ def check_full_sphere_closed_form(tol: float = 1e-6) -> CheckResult:
         hq = pot.sphere_harmonic(geo.CapSet.full_sphere(d), x, p)
         hc = pot.full_sphere_harmonic_closed(r, p)
         worst = max(worst, abs(hq - hc) / hc)
-    return CheckResult("full-sphere closed form", worst <= tol,
-                       f"max rel err = {worst:.2e} (tol {tol:g})")
+    return CheckResult("full-sphere closed form", worst <= 1e-6,
+                       f"max rel err = {worst:.2e} (tol 1e-06)")
 
 
-def check_plane_shell_potential(tol: float = 0.05) -> CheckResult:
-    """Slab equilibrium potential is 1 under the equilibrium normalisation;
-    the raw (published) normalisation plateau is reported alongside."""
+def check_plane_shell_potential() -> CheckResult:
+    """Slab equilibrium potential is 1 (within 1e-8) under the equilibrium
+    normalisation; the raw (published) normalisation plateau is reported
+    alongside."""
     details = []
     ok = True
     for d in (3, 4):
@@ -247,7 +244,7 @@ def check_plane_shell_potential(tol: float = 0.05) -> CheckResult:
         eq = [pot.plane_shell_potential(f * eps, eps, p) for f in (-0.9, 0.0, 0.6)]
         raw = pot.plane_shell_potential(0.0, eps, p, normalization="raw")
         dev = max(abs(v - 1.0) for v in eq)
-        ok &= dev <= tol
+        ok &= dev <= 1e-8
         details.append(f"d={d}: max|U_eq-1|={dev:.2e}, raw value={raw:.4f}")
     return CheckResult("slab potential unit limit", bool(ok), "; ".join(details))
 

@@ -177,6 +177,8 @@ def resolve_config(raw: dict[str, tuple[str, str]]) -> dict:
         if len(cfg["x0"]) != cfg["d"]:
             raise ConfigError(f"x0 must have d = {cfg['d']} coordinates, "
                               f"got {len(cfg['x0'])}")
+    if cfg["experiment"] == "duality" and cfg["h"]:
+        raise ConfigError("duality draws X_t in one step and takes no h")
     if cfg["n_paths"] < 1:
         raise ConfigError("n_paths must be >= 1")
     if cfg["workers"] < 1:
@@ -250,8 +252,7 @@ def _duality(cfg) -> cond.Report:
     wf = cond.Window(tuple(cfg["window_f"][0]), cfg["window_f"][1])
     wg = cond.Window(tuple(cfg["window_g"][0]), cfg["window_g"][1])
     return cond.duality_experiment(p, S, wf, wg, cfg["t"], cfg["n_paths"],
-                                   h=cfg["h"] or None, seed=cfg["seed"],
-                                   workers=cfg["workers"])
+                                   seed=cfg["seed"], workers=cfg["workers"])
 
 
 def _reversal(cfg) -> cond.Report:
@@ -289,7 +290,8 @@ def _line(cells, sep: str) -> str:
 def _write_report(report: cond.Report, out: Path):
     """report.json, report.csv and plot.dat of one report."""
     _write(out, "report.json",
-           json.dumps(report.data, indent=2, sort_keys=True) + "\n")
+           json.dumps(report.data, indent=2, sort_keys=True, allow_nan=False)
+           + "\n")
     _write(out, "report.csv", "\n".join(
         _line(row, ",") for row in (report.header, *report.rows)) + "\n")
     _write(out, "plot.dat",

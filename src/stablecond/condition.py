@@ -100,14 +100,14 @@ def _bernoulli_estimate(hits: int, n: int, seed: int) -> MCEstimate:
 
 # -- h-transform weight ------------------------------------------------------
 
-def _martingale_block(b: int, sizes, seed, p, S, x0, n_steps, h, stop_dist):
+def _martingale_block(b: int, sizes, seed, p, S, x0, n_steps, h):
     rng = sim.rng_for_block(seed, sim.MARTINGALE, 0, b)
     m = sizes[b]
     x = np.tile(np.asarray(x0, dtype=float), (m, 1))
     def stop(k, alive, X):
-        # freeze paths that reached S (a NaN distance freezes too)
+        # freeze paths within 0.05 of S (a NaN distance freezes too)
         dist = sim.per_point(partial(geo.euclidean_distance_to_shell_many, S), X)
-        return sim.first_true(~(dist >= stop_dist))
+        return sim.first_true(~(dist >= 0.05))
 
     sim.run_paths(p, x, h, n_steps, rng, stop)
     dist = geo.euclidean_distance_to_shell_many(S, x)
@@ -118,9 +118,9 @@ def _martingale_block(b: int, sizes, seed, p, S, x0, n_steps, h, stop_dist):
 
 
 def martingale_check(p: StableParams, S: geo.CapSet, x0, t: float,
-                     n_paths: int, h: float, stop_dist: float = 0.05,
-                     seed: int = 0, workers: int = 1) -> MCEstimate:
-    """Mean of the Doob weight at time t over paths frozen on approach to S.
+                     n_paths: int, h: float, seed: int = 0,
+                     workers: int = 1) -> MCEstimate:
+    """Mean of the Doob weight at time t over paths frozen within 0.05 of S.
 
     The harmonic weight of paths stopped before reaching S has mean
     H_S(x0), so the returned estimate should be 1 within Monte Carlo
@@ -131,7 +131,7 @@ def martingale_check(p: StableParams, S: geo.CapSet, x0, t: float,
     sizes = _block_sizes(n_paths)
     n_steps = max(1, round(t / h))
     fn = partial(_martingale_block, sizes=sizes, seed=seed, p=p, S=S,
-                 x0=tuple(x0), n_steps=n_steps, h=h, stop_dist=stop_dist)
+                 x0=tuple(x0), n_steps=n_steps, h=h)
     with _block_map(len(sizes), workers) as map_blocks:
         res = map_blocks(fn)
     h0 = pot.sphere_harmonic(S, x0, p)
@@ -228,10 +228,17 @@ def _hitting_theory(p: StableParams, set_, x):
     return value, source, alt, hval
 
 
+def _null_nan(v: float) -> float | None:
+    """A value for report.json: null for a level that has no estimate."""
+    return None if math.isnan(v) else v
+
+
 def _grid_fields(p: StableParams, geometry: str, eps_grid, estimates, scaled,
                  theory: float, source: str, alt: dict, extras: dict) -> dict:
     """The ``Report`` fields other than the verdict that hitting and strike
-    share: one csv row and one plot line per eps."""
+    share: one csv row and one plot line per eps.  A level without an
+    estimate (a strike level with no outer hit) is NaN in the csv and plot
+    rows and null in report.json."""
     if not eps_grid or any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValueError("eps grid must be non-empty and strictly decreasing")
     if not math.isfinite(theory):
@@ -241,8 +248,9 @@ def _grid_fields(p: StableParams, geometry: str, eps_grid, estimates, scaled,
         "geometry": geometry,
         "grid": list(eps_grid),
         "estimates": [
-            {"eps": e, "p_hat": est.value, "stderr": est.stderr,
-             "scaled": s, "n": est.n, "seed": est.seed}
+            {"eps": e, "p_hat": _null_nan(est.value),
+             "stderr": _null_nan(est.stderr), "scaled": _null_nan(s),
+             "n": est.n, "seed": est.seed}
             for e, est, s in zip(eps_grid, estimates, scaled)],
         "theory": {"value": theory, "source": source, "alternatives": alt},
         "extras": extras,
@@ -324,7 +332,7 @@ def strike_experiment(p: StableParams, set_big, set_sub, x, eps_grid,
             degenerate.append(eps)
             estimates.append(MCEstimate(math.nan, math.nan, n_paths, seed))
             scaled.append(math.nan)
-            ever_ratio.append(math.nan)
+            ever_ratio.append(None)
             continue
         # primary column: which part of the outer target the path strikes
         # first; the ever-hit ratio carries a second-order revisit bias at
@@ -366,8 +374,10 @@ class Window:
         return out
 
 
-def _window_eta_grid(S, win: Window, p, n_r: int = 48, n_a: int = 128):
-    """Polar quadrature grid over the window and H values on it (d = 2)."""
+def _window_eta_grid(S, win: Window, p):
+    """Polar quadrature grid over the window and H values on it (d = 2):
+    48 Gauss-Legendre radii times 128 angles."""
+    n_r, n_a = 48, 128
     xs, ws = np.polynomial.legendre.leggauss(n_r)
     r = 0.5 * win.radius * (xs + 1.0)
     wr = 0.5 * win.radius * ws
@@ -412,15 +422,13 @@ def _sample_eta_window(S, win: Window, p, rng, m: int, hmax: float) -> np.ndarra
     return out
 
 
-def _duality_block(b, sizes, seed, side, p, S, win_from, win_to, t, h,
+def _duality_block(b, sizes, seed, side, p, S, win_from, win_to, t,
                    hmax, weighted):
     rng = sim.rng_for_block(seed, sim.DUALITY, side, b)
     m = sizes[b]
     xs = _sample_eta_window(S, win_from, p, rng, m, hmax)
-    steps = 1 if h is None else max(1, round(t / h))
-    xt = xs.copy()
-    sim.run_paths(p, xt, t / steps, steps, rng,
-                  lambda k, alive, X: np.full(alive.size, len(X)))
+    # X_t is one increment of length t: the law of X_t needs no grid
+    xt = xs + sim.sample_increment(p, t, rng, m)
     vals = win_from(xs) * win_to(xt)
     if weighted:
         mask = vals != 0.0
@@ -438,8 +446,7 @@ def _duality_block(b, sizes, seed, side, p, S, win_from, win_to, t, h,
 
 def duality_experiment(p: StableParams, S: geo.CapSet, window_f: Window,
                        window_g: Window, t: float, n_paths: int,
-                       h: float | None = None, seed: int = 0,
-                       workers: int = 1) -> Report:
+                       seed: int = 0, workers: int = 1) -> Report:
     """Both sides of the weak duality identity for the measure H_S(x) dx.
 
     lhs integrates E_x[f(X_t)] g(x) against the measure, rhs integrates
@@ -465,12 +472,12 @@ def duality_experiment(p: StableParams, S: geo.CapSet, window_f: Window,
         with _block_map(len(sizes), workers) as map_blocks:
             res = map_blocks(partial(
                 _duality_block, sizes=sizes, seed=seed, side=0, p=p, S=S,
-                win_from=window_g, win_to=window_f, t=t, h=h, hmax=hmax_g,
+                win_from=window_g, win_to=window_f, t=t, hmax=hmax_g,
                 weighted=False))
             lhs = _mean_estimate(res, n_paths, mass_g, seed)
             res = map_blocks(partial(
                 _duality_block, sizes=sizes, seed=seed, side=1, p=p,
-                S=S, win_from=window_f, win_to=window_g, t=t, h=h,
+                S=S, win_from=window_f, win_to=window_g, t=t,
                 hmax=hmax_f, weighted=True))
             rhs = _mean_estimate(res, n_paths, mass_f, seed)
     # the two sides agree within 4 SE
@@ -523,15 +530,15 @@ def _occupation_block(b, sizes, seed, p, x0, center, radius, h,
 
 
 def occupation_check(p: StableParams, x, center, radius: float, n_paths: int,
-                     h: float, seed: int = 0, workers: int = 1,
-                     r_far: float = 200.0, horizon: float = 300.0
+                     h: float, seed: int = 0, workers: int = 1
                      ) -> tuple[MCEstimate, float]:
     """Expected grid occupation of a ball versus the Riesz potential of its
-    indicator; returns (estimate, theory)."""
+    indicator; returns (estimate, theory).  Paths stop beyond radius 200
+    or at time 300."""
     sizes = _block_sizes(n_paths)
     fn = partial(_occupation_block, sizes=sizes, seed=seed, p=p,
                  x0=tuple(np.asarray(x, dtype=float)), center=tuple(center),
-                 radius=radius, h=h, n_steps=int(horizon / h), r_far=r_far)
+                 radius=radius, h=h, n_steps=int(300.0 / h), r_far=200.0)
     with _block_map(len(sizes), workers) as map_blocks:
         res = map_blocks(fn)
     est = _mean_estimate(res, n_paths, 1.0, seed)
@@ -543,7 +550,7 @@ def occupation_check(p: StableParams, x, center, radius: float, n_paths: int,
 # -- time reversal ------------------------------------------------------------
 
 def _reversal_block(b, sizes, seed, p, S, r_exit, h, n_steps, r_far,
-                    bin_edges, clip, guard):
+                    bin_edges, clip):
     rng = sim.rng_for_block(seed, sim.REVERSAL, 0, b)
     m = sizes[b]
     x = geo.sample_boundary(S, rng, m)
@@ -578,7 +585,7 @@ def _reversal_block(b, sizes, seed, p, S, r_exit, h, n_steps, r_far,
         rc = np.linalg.norm(cur, axis=1)
         stat = np.clip(np.linalg.norm(nxt, axis=1) - rc, -clip, clip)
         dist = geo.euclidean_distance_to_shell_many(S, cur)
-        ok = dist >= guard
+        ok = dist >= 0.05
         bins = np.searchsorted(bin_edges, rc, side="right") - 1
         ok &= (bins >= 0) & (bins < nb)
         # one pair per path per bin keeps the per-bin samples independent
@@ -603,15 +610,16 @@ def reversal_experiment(p: StableParams, S: geo.CapSet, r_exit: float = 2.0,
                         n_paths: int = 10_000, h: float = 0.02, seed: int = 0,
                         workers: int = 1, r_far: float = 50.0,
                         horizon: float = 30.0, n_bins: int = 8,
-                        clip: float = 0.5, guard: float = 0.05) -> Report:
+                        clip: float = 0.5) -> Report:
     """Diagnostic comparison of reversed-path one-step statistics against
     h-weighted forward steps from matched positions.
 
     Paths start from the normalised surface measure on S; the last grid
     index inside B(0, r_exit) plays the role of the reversal time.  The
     compared statistic is the clipped radial displacement, binned by the
-    radius of the current position.  Loose agreement (4 sigma in most
-    occupied bins) is the expected outcome, not a sharp test.
+    radius of the current position; positions within 0.05 of S are left
+    out.  Loose agreement (4 sigma in most occupied bins) is the expected
+    outcome, not a sharp test.
     """
     p.require_conditioning()
     if r_exit <= 1.0:
@@ -622,7 +630,7 @@ def reversal_experiment(p: StableParams, S: geo.CapSet, r_exit: float = 2.0,
     sizes = _block_sizes(n_paths, block=1024)
     fn = partial(_reversal_block, sizes=sizes, seed=seed, p=p, S=S,
                  r_exit=r_exit, h=h, n_steps=n_steps, r_far=r_far,
-                 bin_edges=bin_edges, clip=clip, guard=guard)
+                 bin_edges=bin_edges, clip=clip)
     with _block_map(len(sizes), workers) as map_blocks:
         res = map_blocks(fn)
     nb = n_bins
@@ -672,7 +680,7 @@ def reversal_experiment(p: StableParams, S: geo.CapSet, r_exit: float = 2.0,
         "bins": bins_out,
         "occupied_bins": int(occupied),
         "agree_bins": int(agree),
-        "agree_fraction": float(agree / occupied) if occupied else math.nan,
+        "agree_fraction": float(agree / occupied) if occupied else None,
         "first_reversed_point_inside_fraction": float(first_inside),
         "horizon_truncated_fraction": float(truncated / n_paths),
     }
@@ -681,8 +689,12 @@ def reversal_experiment(p: StableParams, S: geo.CapSet, r_exit: float = 2.0,
     counts = f"({agree}/{occupied} bins)"
     frac = data["agree_fraction"]
     # a diagnostic: low agreement warns but never fails the run
-    summary = (f"reversal: agree fraction {frac:.2f} {counts}" if frac >= 0.8
-               else f"reversal: WARNING agree fraction {frac:.2f} < 0.8 {counts}")
+    if frac is None:
+        summary = f"reversal: WARNING no bin is occupied {counts}"
+    elif frac >= 0.8:
+        summary = f"reversal: agree fraction {frac:.2f} {counts}"
+    else:
+        summary = f"reversal: WARNING agree fraction {frac:.2f} < 0.8 {counts}"
     return Report(
         data=data, header=cols,
         rows=[tuple(b[k] for k in cols) for b in bins_out],

@@ -197,20 +197,22 @@ def angular_distance_many(S: CapSet, thetas: np.ndarray) -> np.ndarray:
 
 def euclidean_distance_to_shell(S: CapSet, x: np.ndarray) -> float:
     """Euclidean distance from a point of R^d to the set S on the sphere."""
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        return 1.0
-    ang = float(angular_distance_many(S, np.array([x / r]))[0])
-    return math.sqrt(max(r * r + 1.0 - 2.0 * r * math.cos(ang), 0.0))
+    return float(euclidean_distance_to_shell_many(S, np.array([x], dtype=float))[0])
 
 
 def euclidean_distance_to_shell_many(S: CapSet, X: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each row of X (n, d) to S.
+
+    With r = |x| and phi the geodesic distance of x/r to S, the distance is
+    sqrt((r - 1)^2 + 4 r sin^2(phi/2)): no cancellation, so points within
+    1e-8 of S keep their relative accuracy (r^2 + 1 - 2 r cos(phi) reads 0
+    there).  The origin is at distance 1.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     r = np.linalg.norm(X, axis=1)
     safe = np.where(r > 0.0, r, 1.0)
-    ang = angular_distance_many(S, X / safe[:, None])
-    out = np.sqrt(np.maximum(r * r + 1.0 - 2.0 * r * np.cos(ang), 0.0))
+    half = np.sin(0.5 * angular_distance_many(S, X / safe[:, None]))
+    out = np.sqrt((r - 1.0) ** 2 + 4.0 * r * half * half)
     return np.where(r > 0.0, out, 1.0)
 
 
@@ -497,16 +499,6 @@ def plane_distance_many(D: PlanarSet, U: np.ndarray) -> np.ndarray:
     lo, hi = (np.asarray(p) for p in D.params)
     excess = np.maximum(np.maximum(lo - U, U - hi), 0.0)
     return np.linalg.norm(excess, axis=1)
-
-
-def plane_measure(D: PlanarSet) -> float:
-    """(d-1)-dimensional Lebesgue measure of the planar set."""
-    k = D.d - 1
-    if D.shape == "ball":
-        _, radius = D.params
-        return math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0) * radius ** k
-    lo, hi = D.params
-    return float(np.prod(np.asarray(hi) - np.asarray(lo)))
 
 
 # -- boundary samplers -------------------------------------------------------

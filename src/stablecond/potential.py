@@ -76,7 +76,6 @@ class ConstantTable:
 
     alpha: float
     d: int
-    truncation_radius: float
     potential_const: float
     c_alpha_d: float | None = None
     C_alpha_d: float | None = None
@@ -99,28 +98,12 @@ class ConstantTable:
                 f"constant {name!r} is not defined for alpha={self.alpha}, d={self.d}")
         return val
 
-    def delta_rule(self, eps: float) -> float:
-        """Shell-enlargement schedule delta(eps) used by the leakage bound."""
-        if not 0.0 < eps < 1.0:
-            raise ValueError("delta_rule requires eps in (0, 1)")
-        if self.alpha < 1.0:
-            return eps ** ((1.0 - self.alpha) / (2.0 * (self.d - self.alpha)))
-        if self.alpha == 1.0:
-            return abs(math.log(eps)) ** (-1.0 / (2.0 * (self.d - 1)))
-        raise ValueError("delta_rule is defined for alpha in (0, 1]")
 
-
-def constants(p: StableParams, R: float = 2.0) -> ConstantTable:
-    """Populate every constant available for the branch of ``p``.
-
-    R is the truncation radius of the alpha=1 hyperplane measure; the
-    resulting constant does not depend on it, but it must be positive.
-    """
-    if R <= 0.0:
-        raise ValueError("truncation radius R must be positive")
+def constants(p: StableParams) -> ConstantTable:
+    """Populate every constant available for the branch of ``p``."""
     a, d = p.alpha, p.d
     fields: dict = {
-        "alpha": a, "d": d, "truncation_radius": float(R),
+        "alpha": a, "d": d,
         "potential_const": gamma_ratio(((d - a) / 2.0,), (a / 2.0,))
         / (2.0 ** a * math.pi ** (d / 2.0)),
     }
@@ -185,6 +168,7 @@ def _arcsine_mass_factor(alpha: float) -> float:
 
 _DEFAULT_NODES = {2: 512, 3: 4096}
 _MAX_DOUBLINGS = 6
+_RTOL = 1e-6        # relative accuracy of the harmonic weights
 
 
 @lru_cache(maxsize=128)
@@ -203,8 +187,7 @@ def _kernel_sum(nodes, weights, X, power):
     return out
 
 
-def sphere_harmonic_many(S: geo.CapSet, X, p: StableParams,
-                         rtol: float = 1e-6) -> np.ndarray:
+def sphere_harmonic_many(S: geo.CapSet, X, p: StableParams) -> np.ndarray:
     """Integral of |x-theta|^(alpha-d) over S against sigma_1, vectorised.
 
     Node counts double until a Richardson check passes for every point;
@@ -224,7 +207,7 @@ def sphere_harmonic_many(S: geo.CapSet, X, p: StableParams,
             raise ConvergenceError(
                 "near-set harmonic evaluation is only supported for d = 2")
         for i in np.nonzero(near)[0]:
-            out[i] = _sphere_harmonic_adaptive_d2(S, X[i], p)
+            out[i] = _sphere_harmonic_adaptive_d2(S, X[i], p, dist[i])
         if near.all():
             return out
     todo = np.nonzero(~near)[0]
@@ -235,7 +218,7 @@ def sphere_harmonic_many(S: geo.CapSet, X, p: StableParams,
         n *= 2
         nodes, weights = _cached_nodes(S, n)
         cur = _kernel_sum(nodes, weights, X[todo], p.alpha - p.d)
-        ok = np.abs(cur - prev) <= 0.5 * rtol * np.abs(cur)
+        ok = np.abs(cur - prev) <= 0.5 * _RTOL * np.abs(cur)
         out[todo[ok]] = cur[ok]
         todo = todo[~ok]
         prev = cur[~ok]
@@ -243,27 +226,41 @@ def sphere_harmonic_many(S: geo.CapSet, X, p: StableParams,
             return out
     if p.d == 2:
         for i in todo:
-            out[i] = _sphere_harmonic_adaptive_d2(S, X[i], p)
+            out[i] = _sphere_harmonic_adaptive_d2(S, X[i], p, dist[i])
         return out
     raise ConvergenceError(
         f"sphere harmonic quadrature did not converge for {todo.size} points")
 
 
-def sphere_harmonic(S: geo.CapSet, x, p: StableParams, rtol: float = 1e-6) -> float:
+def sphere_harmonic(S: geo.CapSet, x, p: StableParams) -> float:
     """Harmonic weight of the spherical set at one point x not in S."""
-    return float(sphere_harmonic_many(S, np.array([x], dtype=float), p, rtol)[0])
+    return float(sphere_harmonic_many(S, np.array([x], dtype=float), p)[0])
 
 
-def _sphere_harmonic_adaptive_d2(S: geo.CapSet, x, p: StableParams) -> float:
+def _sphere_harmonic_adaptive_d2(S: geo.CapSet, x, p: StableParams,
+                                 dist: float) -> float:
     arcs = geo._merge_arcs(S.caps)
     r = float(np.linalg.norm(x))
     psi = math.atan2(x[1], x[0])
     pw = (p.alpha - 2.0) / 2.0
-    total = 0.0
-    for lo, hi in arcs:
+    if dist < 1e-4:
+        # the kernel peaks at psi with width about dist: break the arcs at
+        # psi +- dist * 4^k too and evaluate it without cancellation (the
+        # plain rule below returned negative values at 1e-6)
+        marks = [0.0] + [s * dist * 4.0 ** k for k in range(40) for s in (-1.0, 1.0)]
+
+        def f(t):
+            return ((r - 1.0) ** 2 + 4.0 * r * math.sin(0.5 * (t - psi)) ** 2) ** pw
+    else:
+        # within 1e-8 relative of an mpmath quadrature from 1e-4 on
+        marks = [0.0]
+
         def f(t):
             return (r * r + 1.0 - 2.0 * r * math.cos(t - psi)) ** pw
-        pts = [t for t in (psi - 2 * math.pi, psi, psi + 2 * math.pi) if lo < t < hi]
+    total = 0.0
+    for lo, hi in arcs:
+        pts = sorted(c + m for c in (psi - 2 * math.pi, psi, psi + 2 * math.pi)
+                     for m in marks if lo < c + m < hi)
         val, _ = quad(f, lo, hi, points=pts or None, limit=400,
                       epsabs=1e-13, epsrel=1e-9)
         total += val
@@ -281,13 +278,12 @@ def full_sphere_harmonic_closed(radius: float, p: StableParams) -> float:
         (p.d - p.alpha) / 2.0, (2.0 - p.alpha) / 2.0, p.d / 2.0, z)
 
 
-def plane_harmonic_many(D: geo.PlanarSet, X, p: StableParams,
-                        rtol: float = 1e-6) -> np.ndarray:
+def plane_harmonic_many(D: geo.PlanarSet, X, p: StableParams) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return np.array([plane_harmonic(D, x, p, rtol) for x in X])
+    return np.array([plane_harmonic(D, x, p) for x in X])
 
 
-def plane_harmonic(D: geo.PlanarSet, x, p: StableParams, rtol: float = 1e-6) -> float:
+def plane_harmonic(D: geo.PlanarSet, x, p: StableParams) -> float:
     """Integral of |x-y|^(alpha-d) over the planar set against Lebesgue measure."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(D.normal)
@@ -299,9 +295,9 @@ def plane_harmonic(D: geo.PlanarSet, x, p: StableParams, rtol: float = 1e-6) -> 
     if p.d == 2:
         return _plane_harmonic_d2(D, u, eta, p)
     if p.d == 3:
-        return _plane_harmonic_d3(D, u, eta, p, rtol)
+        return _plane_harmonic_d3(D, u, eta, p)
     if D.shape == "ball":
-        return _plane_harmonic_ball(D, u, eta, p, rtol)
+        return _plane_harmonic_ball(D, u, eta, p)
     raise NotImplementedError("box planar sets are supported for d <= 3 only")
 
 
@@ -347,7 +343,7 @@ def _chord_box(u, direction, lo, hi):
     return t0, t1
 
 
-def _plane_harmonic_d3(D, u, eta, p, rtol):
+def _plane_harmonic_d3(D, u, eta, p):
     # exact radial antiderivative of (rho^2+eta^2)^{(a-3)/2} rho
     am1 = p.alpha - 1.0
 
@@ -393,11 +389,11 @@ def _plane_harmonic_d3(D, u, eta, p, rtol):
     if pts is not None:
         pts = [t for t in pts if lo_a < t < hi_a]
     val, _ = quad(f, lo_a, hi_a, points=pts, limit=400, epsabs=1e-13,
-                  epsrel=max(rtol * 1e-2, 1e-11))
+                  epsrel=1e-2 * _RTOL)
     return val
 
 
-def _plane_harmonic_ball(D, u, eta, p, rtol):
+def _plane_harmonic_ball(D, u, eta, p):
     # two-center reduction in the (d-1)-dimensional frame, d >= 4
     center, radius = D.params
     k = p.d - 1
@@ -411,14 +407,14 @@ def _plane_harmonic_ball(D, u, eta, p, rtol):
         val, _ = quad(f, 0.0, math.pi, limit=200, epsabs=1e-13, epsrel=1e-10)
         return val * s ** (k - 1)
 
-    val, _ = quad(inner, 0.0, radius, limit=200, epsabs=1e-13, epsrel=max(rtol * 1e-2, 1e-10))
+    val, _ = quad(inner, 0.0, radius, limit=200, epsabs=1e-13, epsrel=1e-2 * _RTOL)
     return omega * val
 
 
 # -- interval potential and the log-kernel integral --------------------------
 
-def quad_endpoint_singular(f, a: float, b: float, pa: float = 0.0, qb: float = 0.0,
-                           epsrel: float = 1e-11) -> float:
+def quad_endpoint_singular(f, a: float, b: float, pa: float = 0.0,
+                           qb: float = 0.0) -> float:
     """int_a^b f(x) (x-a)^pa (b-x)^qb dx for pa, qb > -1.
 
     The substitution x = a + (b-a) sin^2 w absorbs both endpoint powers
@@ -438,7 +434,7 @@ def quad_endpoint_singular(f, a: float, b: float, pa: float = 0.0, qb: float = 0
         dxb = length * c * c
         return f(a + dxa, dxa, dxb) * s ** ea * c ** eb
 
-    val, _ = quad(g, 0.0, math.pi / 2.0, limit=400, epsabs=1e-15, epsrel=epsrel)
+    val, _ = quad(g, 0.0, math.pi / 2.0, limit=400, epsabs=1e-15, epsrel=1e-11)
     return 2.0 * length ** (1.0 + pa + qb) * val
 
 
@@ -645,25 +641,16 @@ def riesz_ball_integral(b: float, radius: float, p: StableParams) -> float:
     return area * val
 
 
-def leakage_bound(eps: float, delta: float, p: StableParams,
-                  set_measure: float | None = None, plane: bool = False) -> float:
-    """Upper bound for the potential of the shell measure outside the
-    delta-enlarged target, at points of the target."""
-    p.require_conditioning()
-    if eps <= 0.0 or delta <= 0.0:
-        raise ValueError("leakage_bound requires eps > 0 and delta > 0")
-    if plane:
-        if p.alpha >= 1.0:
-            raise ValueError("the planar leakage bound is defined for alpha < 1")
-        if set_measure is None:
-            raise ValueError("planar leakage bound needs the enlarged set measure")
-        ct = constants(p)
-        return ct.get("k_alpha_d") * set_measure * _arcsine_mass_factor(p.alpha) \
-            * eps ** (1.0 - p.alpha) / delta ** (p.d - p.alpha)
-    if p.alpha < 1.0:
-        ct = constants(p)
-        return ct.get("C_alpha_d") * eps ** (1.0 - p.alpha) / delta ** (p.d - p.alpha)
-    return 2.0 / (abs(math.log(eps)) * delta ** (p.d - 1))
+def reentry_probability(p: StableParams, radius: float, r: float) -> float:
+    """P_x(the process ever enters B(0, radius)) from |x| = r >= radius.
+
+    The exact law of Blumenthal, Getoor & Ray (Trans. AMS 99, 1961), the
+    regularised incomplete beta I_{radius^2/r^2}((d - alpha)/2, alpha/2).
+    From r = r_far it bounds the hits that far-field stopping misses.
+    """
+    if not 0.0 < radius <= r:
+        raise ValueError("reentry_probability requires 0 < radius <= r")
+    return float(sc.betainc((p.d - p.alpha) / 2.0, p.alpha / 2.0, (radius / r) ** 2))
 
 
 def plane_shell_potential(height: float, eps: float, p: StableParams,

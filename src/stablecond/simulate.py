@@ -24,7 +24,7 @@ from .potential import StableParams
 # Stream ids: the first entry of the spawn key (stream, level, block) of
 # every random stream, one id per use of randomness.
 (HIT, SUBSET_CHECK, MARTINGALE, DUALITY, OCCUPATION, REVERSAL,
- REVERSAL_FORWARD, REENTRY) = range(8)
+ REVERSAL_FORWARD) = range(7)
 
 
 def rng_for_block(seed: int, *key: int) -> np.random.Generator:
@@ -142,25 +142,3 @@ def run_paths(p: StableParams, x: np.ndarray, h: float, n_steps: int,
     x[alive] = xl
     return alive
 
-
-def reentry_probability(p: StableParams, r_far: float = 50.0,
-                        annulus: float = 1.2, n_paths: int = 10_000,
-                        h: float = 0.05, seed: int = 7,
-                        horizon: float = 400.0) -> float:
-    """Monte Carlo estimate of re-entering B(0, annulus) after reaching the
-    far-field radius; quantifies the truncation bias of far-field stopping."""
-    rng = rng_for_block(seed, REENTRY, 0, 0)
-    g = rng.standard_normal((n_paths, p.d))
-    x = r_far * g / np.linalg.norm(g, axis=1, keepdims=True)
-    reentered = np.zeros(n_paths, dtype=bool)
-
-    def stop(k, alive, X):
-        r = per_point(geo.row_norms, X)
-        back = r < annulus
-        first = first_true(back | (r > 10.0 * r_far))
-        j = np.flatnonzero(first < len(X))
-        reentered[alive[j[back[first[j], j]]]] = True
-        return first
-
-    run_paths(p, x, h, int(horizon / h), rng, stop)
-    return float(reentered.mean())

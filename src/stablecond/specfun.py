@@ -69,12 +69,11 @@ def _is_nonpos_int(x: float) -> bool:
     return x <= _INT_TOL and abs(x - round(x)) < _INT_TOL
 
 
-def hyp2f1_series(a: float, b: float, c: float, z: float,
-                  max_terms: int = _SERIES_MAX_TERMS) -> float:
+def hyp2f1_series(a: float, b: float, c: float, z: float) -> float:
     """Defining power series of 2F1; caller guarantees |z| small enough."""
     total = 1.0
     term = 1.0
-    for n in range(max_terms):
+    for n in range(_SERIES_MAX_TERMS):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         total += term
         if abs(term) <= _SERIES_STOP * abs(total):
@@ -162,7 +161,10 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     Arguments z < -1 are evaluated through the analytic extension.
     Accuracy degrades when c-a-b (or, for z < -1, b-a) is within about
     1e-5 of a nonzero integer; exact integer cases take the logarithmic
-    branch and are fine.
+    branch and are fine.  It does not delegate to ``scipy.special.hyp2f1``
+    (scipy 1.17), which within 1e-14 of z = 1 returns inf for c-a-b <= 0
+    and is off by about 1e-3 for c-a-b > 0, where ``riesz_ball_integral``
+    evaluates the kernel.
     """
     if _is_nonpos_int(c):
         raise ValueError(f"2F1 undefined for non-positive integer c={c}")

@@ -248,6 +248,7 @@ def test_reversal_horizon_is_used(tmp_path):
     ("hitting", "x0 = 2 0 0", "x0 must have d = 2 coordinates"),
     ("strike", "x0 =", "x0 must have d = 2 coordinates"),
     ("strike", "x0 = 2", "x0 must have d = 2 coordinates"),
+    ("duality", "h = 0.01", "duality draws X_t in one step and takes no h"),
 ])
 def test_unrunnable_config_rejected(tmp_path, capsys, exp, line, match):
     # a later line overrides an earlier one
@@ -288,6 +289,33 @@ PINS = {
         "report.csv": "5c595f64df313adeb4c43c8820fed5c3444e8f5a3e3bf8159e66bca81f22ce1d",
         "plot.dat": "3aa1c620d17e390cf1bd26030cd0d98f031d4aab96e5cf1d00f802115e409e1d"}),
 }
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_report_json_is_strict(tmp_path):
+    # a 40-path reversal occupies no bin (its agree fraction is 0/0), and a
+    # strike level far from the target has no outer hit: both are null
+    texts = {
+        "reversal": TINY["reversal"].replace("n_paths = 512", "n_paths = 40"),
+        "strike": TINY["strike"].replace("x0 = 2 0", "x0 = 40 0")
+                  .replace("n_paths = 500", "n_paths = 20"),
+    }
+    data = {}
+    for exp, text in texts.items():
+        cfg = cli.parse_config(write(tmp_path, text, f"{exp}.cfg"))
+        out = tmp_path / exp
+        cli.run(cfg, out_dir=out)
+        data[exp] = json.loads((out / "report.json").read_text(),
+                               parse_constant=_reject_constant)
+    assert data["reversal"]["occupied_bins"] == 0
+    assert data["reversal"]["agree_fraction"] is None
+    est = data["strike"]["estimates"][0]
+    assert data["strike"]["extras"]["degenerate_eps"] == [0.2, 0.1]
+    assert est["p_hat"] is est["stderr"] is est["scaled"] is None
+    assert data["strike"]["extras"]["ever_hit_ratio"] == [None, None]
 
 
 @pytest.mark.parametrize("exp", list(TINY))

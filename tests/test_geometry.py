@@ -32,7 +32,7 @@ def test_planarset_validation():
     with pytest.raises(ValueError):
         ge.PlanarSet.box((0, 0, 1), (0.0, 0.0), (0.0, 1.0))  # empty extent
     box = ge.PlanarSet.box((0, 0, 1), (-1.0, -2.0), (1.0, 2.0))
-    assert ge.plane_measure(box) == pytest.approx(8.0)
+    assert box.params == ((-1.0, -2.0), (1.0, 2.0))
 
 
 def test_target_validation():
@@ -79,6 +79,29 @@ def test_angular_distance_two_caps_brute_force():
 
 
 # -- surface measure -------------------------------------------------------------
+
+def test_shell_distance_keeps_relative_accuracy_near_the_set():
+    # r^2 + 1 - 2 r cos(phi) cancels: it read 0.0 at 1e-8 and 1e-10 outside
+    # a half circle; the distance must keep its relative accuracy down to
+    # 1e-12.  Radial points have phi = 0 and |r - 1| exact in floating point.
+    S = ge.CapSet.single((1.0, 0.0), math.pi / 2)
+    for delta in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12):
+        for sign in (1.0, -1.0):
+            r = 1.0 + sign * delta
+            # the cap centre and the cap edge (0, 1)
+            X = np.array([[r, 0.0], [0.0, r]])
+            want = abs(r - 1.0)
+            got = ge.euclidean_distance_to_shell_many(S, X)
+            assert got == pytest.approx([want, want], rel=1e-6, abs=0.0), delta
+            assert ge.euclidean_distance_to_shell(S, X[0]) == got[0]
+    # beyond the cap edge along the circle: the chord 2 sin(delta/2); arccos
+    # near pi/2 is accurate to about 2e-16 absolute, so down to 1e-8
+    for delta in (1e-6, 1e-7, 1e-8):
+        x = np.array([-math.sin(delta), math.cos(delta)])
+        want = 2.0 * math.sin(delta / 2.0)
+        assert ge.euclidean_distance_to_shell(S, x) == pytest.approx(want, rel=1e-6)
+    assert ge.euclidean_distance_to_shell(S, np.zeros(2)) == 1.0
+
 
 def test_surface_measure_basic():
     for d in (2, 3, 4, 5):

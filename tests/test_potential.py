@@ -49,18 +49,6 @@ def test_constant_branch_errors():
     with pytest.raises(ValueError):
         ct.get("A_plane")
     assert ct.get("A_plane_eq") > 0.0
-    with pytest.raises(ValueError):
-        pot.constants(StableParams(0.5, 2), R=0.0)
-
-
-def test_delta_rule():
-    ct = pot.constants(StableParams(0.5, 2))
-    eps = 1e-4
-    assert ct.delta_rule(eps) == pytest.approx(eps ** (0.5 / 3.0))
-    ct1 = pot.constants(StableParams(1.0, 3))
-    assert ct1.delta_rule(eps) == pytest.approx(abs(math.log(eps)) ** (-0.25))
-    with pytest.raises(ValueError):
-        ct.delta_rule(0.0)
 
 
 def test_equilibrium_constants_cross_geometry():
@@ -101,6 +89,28 @@ def test_sphere_harmonic_singularity_error():
     p = StableParams(0.5, 2)
     with pytest.raises(pot.SingularityError):
         pot.sphere_harmonic(ge.CapSet.full_sphere(2), (1.0, 0.0), p)
+
+
+def test_sphere_harmonic_next_to_the_set():
+    # 1e-8 from S is above the 1e-9 cutoff (the distance once read 0 there,
+    # and the adaptive rule returned negative values from about 1e-6);
+    # oracle: mpmath quadrature, split geometrically around the peak
+    mp = pytest.importorskip("mpmath")
+    p = StableParams(0.5, 2)
+    S = ge.CapSet.single((1.0, 0.0), math.pi / 2)
+    for x in ((1.0 + 1e-8, 0.0), (1.0 - 1e-8, 0.0), (1.0 + 1e-6, 0.0),
+              (0.0, 1.0 + 1e-8)):
+        val = pot.sphere_harmonic(S, x, p)
+        with mp.workdps(30):
+            r = mp.hypot(x[0], x[1])
+            psi = mp.atan2(x[1], x[0])
+            cuts = {-mp.pi / 2, mp.pi / 2, psi} | {
+                psi + s * mp.mpf(10) ** -k for k in range(11) for s in (-1, 1)}
+            oracle = mp.quad(
+                lambda t: ((r - 1) ** 2 + 4 * r * mp.sin((t - psi) / 2) ** 2)
+                ** mp.mpf(-0.75),
+                sorted(c for c in cuts if abs(c) <= mp.pi / 2)) / (2 * mp.pi)
+        assert val == pytest.approx(float(oracle), rel=1e-8), x
 
 
 def test_sphere_harmonic_near_set_adaptive():
@@ -289,36 +299,6 @@ def test_shell_potential_domain():
         pot.shell_potential(1.0, 0.5, p)
 
 
-# -- leakage bound -------------------------------------------------------------------
-
-def test_leakage_bound_values_and_scaling():
-    p = StableParams(0.5, 2)
-    ct = pot.constants(p)
-    eps, delta = 1e-4, 0.1
-    assert pot.leakage_bound(eps, delta, p) == pytest.approx(
-        ct.C_alpha_d * 1e-2 / 0.1 ** 1.5, rel=1e-12)
-    # with the delta rule the bound scales like eps^{(1-alpha)/2}
-    for eps in (1e-3, 1e-5):
-        b = pot.leakage_bound(eps, ct.delta_rule(eps), p)
-        assert b / eps ** 0.25 == pytest.approx(ct.C_alpha_d, rel=1e-12)
-    # decreasing in delta
-    assert pot.leakage_bound(eps, 0.2, p) < pot.leakage_bound(eps, 0.1, p)
-
-
-def test_leakage_bound_plane_and_log():
-    p = StableParams(0.5, 3)
-    val = pot.leakage_bound(1e-4, 0.1, p, set_measure=2.0, plane=True)
-    ct = pot.constants(p)
-    expected = ct.k_alpha_d * 2.0 * 2 ** 0.5 * math.gamma(0.75) ** 2 \
-        / math.gamma(1.5) * 1e-2 / 0.1 ** 2.5
-    assert val == pytest.approx(expected, rel=1e-12)
-    p1 = StableParams(1.0, 3)
-    assert pot.leakage_bound(1e-4, 0.1, p1) == pytest.approx(
-        2.0 / (abs(math.log(1e-4)) * 0.1 ** 2), rel=1e-12)
-    with pytest.raises(ValueError):
-        pot.leakage_bound(1e-4, 0.1, p1, plane=True)
-
-
 # -- slab potential -------------------------------------------------------------------
 
 def test_plane_shell_potential_unit_and_raw():
@@ -364,3 +344,34 @@ def test_riesz_ball_integral_inside():
         lambda r, t: r * (0.04 + r * r - 0.4 * r * math.cos(t)) ** -0.75,
         0.0, 2 * math.pi, 0.0, 0.5, epsabs=1e-11, epsrel=1e-9)
     assert val == pytest.approx(oracle, rel=1e-6)
+
+
+def test_riesz_ball_integral_finite_next_to_z_one():
+    # the kernel's 2F1 is evaluated within 1e-14 of z = 1 here, where
+    # scipy's hyp2f1 returns inf; the value was 35.2505... when recorded
+    p = StableParams(0.19791583150283087, 2)
+    val = pot.riesz_ball_integral(0.0012230457735780131, 1.6971758963259707, p)
+    assert math.isfinite(val)
+    assert val == pytest.approx(35.2505, rel=1e-5)
+
+
+# -- far-field re-entry ---------------------------------------------------------------
+
+def test_far_field_reentry_probability():
+    # transience truncation bias of far-field stopping: I_{R^2/r^2}((d-a)/2,
+    # a/2) against mpmath, small at the default radius 50 and decreasing in it
+    mp = pytest.importorskip("mpmath")
+    cases = [((0.5, 2), 1.2, 50.0, 1.116018e-3), ((0.5, 2), 1.2, 100.0, 3.945171e-4),
+             ((0.5, 3), 1.2, 50.0, 1.925596e-5)]
+    for (a, d), R, r, approx in cases:
+        val = pot.reentry_probability(StableParams(a, d), R, r)
+        with mp.workdps(30):
+            ref = mp.betainc((d - mp.mpf(a)) / 2, mp.mpf(a) / 2, 0,
+                             (mp.mpf(R) / r) ** 2, regularized=True)
+        assert val == pytest.approx(float(ref), rel=1e-13)
+        assert val == pytest.approx(approx, rel=1e-6)
+    p = StableParams(0.5, 2)
+    assert pot.reentry_probability(p, 1.2, 100.0) < pot.reentry_probability(p, 1.2, 50.0)
+    assert pot.reentry_probability(p, 1.2, 1.2) == 1.0
+    with pytest.raises(ValueError):
+        pot.reentry_probability(p, 1.2, 1.0)

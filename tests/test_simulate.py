@@ -342,20 +342,6 @@ def test_refinement_one_sided():
     assert freqs[1] >= freqs[0] - 4 * se
 
 
-def test_far_field_reentry_probability():
-    # transience truncation bias: small at the default radius (measured
-    # ~1.2e-3 for alpha=0.5, d=2, marginally above the 1e-3 design figure)
-    # and decreasing in the radius, reaching 1e-3 by r_far = 100
-    p = StableParams(0.5, 2)
-    p50 = sim.reentry_probability(p, r_far=50.0, annulus=1.2, n_paths=20_000,
-                                  h=0.05, seed=9, horizon=200.0)
-    assert p50 <= 2e-3
-    p100 = sim.reentry_probability(p, r_far=100.0, annulus=1.2, n_paths=20_000,
-                                   h=0.05, seed=9, horizon=300.0)
-    assert p100 <= 1e-3
-    assert p100 <= p50
-
-
 def test_block_rng_reproducible_and_distinct():
     a = sim.rng_for_block(7, 3).standard_normal(4)
     b = sim.rng_for_block(7, 3).standard_normal(4)

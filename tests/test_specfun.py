@@ -105,6 +105,21 @@ def test_2f1_against_mpmath_all_branches():
         assert sf.gauss_2f1(a, b, c, z) == pytest.approx(ref, rel=2e-11), (a, b, c, z)
 
 
+def test_2f1_riesz_kernel_next_to_one():
+    # the 2F1 of the Riesz ball kernel, c - a - b = alpha - 1, within 1e-13
+    # of z = 1 (scipy 1.17's hyp2f1 returns inf there for alpha <= 1 and is
+    # about 1e-3 off above)
+    for alpha in (0.1, 0.198, 1.0, 1.209):
+        for d in (2, 3, 4, 6):
+            a, b, c = (d - alpha) / 2.0, 1.0 - alpha / 2.0, d / 2.0
+            for w in (1e-13, 1e-14, 1e-15, 1e-16):
+                z = 1.0 - w
+                with mp.workdps(30):
+                    ref = float(mp.hyp2f1(a, b, c, mp.mpf(z)))
+                assert sf.gauss_2f1(a, b, c, z) == pytest.approx(ref, rel=1e-10), \
+                    (alpha, d, w)
+
+
 def test_2f1_integer_excess_branches():
     # logarithmic connection cases: c - a - b integer, and b - a integer with
     # large negative argument
