@@ -400,9 +400,12 @@ def _eta_mass(S, win: Window, p) -> tuple[float, float]:
     return float(hv @ wg), float(hv.max())
 
 
-def _sample_eta_window(S, win: Window, p, rng, m: int, hmax: float) -> np.ndarray:
-    """Rejection sampling from H_S(x) dx restricted to the window."""
+def _sample_eta_window(S, win: Window, p, rng, m: int,
+                       hmax: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rejection sampling from H_S(x) dx restricted to the window: the m
+    accepted points and H_S at each of them."""
     out = np.empty((m, p.d))
+    h_out = np.empty(m)
     filled = 0
     bound = 1.1 * hmax
     while filled < m:
@@ -418,15 +421,16 @@ def _sample_eta_window(S, win: Window, p, rng, m: int, hmax: float) -> np.ndarra
         acc = rng.random(todo) * bound <= hv
         got = xs[acc]
         out[filled:filled + len(got)] = got
+        h_out[filled:filled + len(got)] = hv[acc]
         filled += len(got)
-    return out
+    return out, h_out
 
 
 def _duality_block(b, sizes, seed, side, p, S, win_from, win_to, t,
                    hmax, weighted):
     rng = sim.rng_for_block(seed, sim.DUALITY, side, b)
     m = sizes[b]
-    xs = _sample_eta_window(S, win_from, p, rng, m, hmax)
+    xs, h_xs = _sample_eta_window(S, win_from, p, rng, m, hmax)
     # X_t is one increment of length t: the law of X_t needs no grid
     xt = xs + sim.sample_increment(p, t, rng, m)
     vals = win_from(xs) * win_to(xt)
@@ -439,7 +443,7 @@ def _duality_block(b, sizes, seed, side, p, S, win_from, win_to, t,
             hw = np.zeros(int(mask.sum()))
             hw[ok] = pot.sphere_harmonic_many(S, xt[mask][ok], p)
             w[mask] = hw
-            w[mask] /= pot.sphere_harmonic_many(S, xs[mask], p)
+            w[mask] /= h_xs[mask]
         vals = vals * np.where(mask, w, 0.0)
     return float(vals.sum()), float((vals ** 2).sum())
 

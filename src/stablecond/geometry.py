@@ -206,14 +206,14 @@ def euclidean_distance_to_shell_many(S: CapSet, X: np.ndarray) -> np.ndarray:
     With r = |x| and phi the geodesic distance of x/r to S, the distance is
     sqrt((r - 1)^2 + 4 r sin^2(phi/2)): no cancellation, so points within
     1e-8 of S keep their relative accuracy (r^2 + 1 - 2 r cos(phi) reads 0
-    there).  The origin is at distance 1.
+    there).  The origin is at distance 1; a row that is not finite gets NaN.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     r = np.linalg.norm(X, axis=1)
     safe = np.where(r > 0.0, r, 1.0)
     half = np.sin(0.5 * angular_distance_many(S, X / safe[:, None]))
     out = np.sqrt((r - 1.0) ** 2 + 4.0 * r * half * half)
-    return np.where(r > 0.0, out, 1.0)
+    return np.where(r == 0.0, 1.0, out)
 
 
 # -- surface measure ---------------------------------------------------------

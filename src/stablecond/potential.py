@@ -33,7 +33,7 @@ from scipy.integrate import quad
 
 from . import geometry as geo
 from .specfun import (ConvergenceError, gamma_ratio, gauss_2f1,
-                      hyp2f1_near_one_parts, hyp2f1_series, ln_gamma)
+                      hyp2f1_near_one_parts, hyp2f1_series_many, ln_gamma)
 
 SINGULARITY_CUTOFF = 1e-9
 
@@ -413,29 +413,75 @@ def _plane_harmonic_ball(D, u, eta, p):
 
 # -- interval potential and the log-kernel integral --------------------------
 
+_PANEL_NODES = 20       # Gauss nodes per panel
+_GRADING_RATIO = 0.15   # panel length ratio toward each endpoint
+_GRADING_LEVELS = 19    # graded panels per half, besides the innermost
+
+
+@lru_cache(maxsize=1)
+def _graded_panels():
+    # Gauss-Legendre nodes and weights of the graded panels of one half of
+    # [0, 1] as distances from its endpoint, and the innermost panel length
+    edges = 0.5 * _GRADING_RATIO ** np.arange(_GRADING_LEVELS, -1, -1.0)
+    gx, gw = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return (mid[:, None] + half[:, None] * gx).ravel(), \
+        (half[:, None] * gw).ravel(), edges[0]
+
+
+@lru_cache(maxsize=8)
+def _jacobi_nodes(p: float):
+    # Gauss-Jacobi on [-1, 1] with weight (1+x)^p; shared by the rules of
+    # one alpha, whose endpoint powers take three values
+    return sc.roots_jacobi(_PANEL_NODES, 0.0, p)
+
+
+def _half_rule(p_near: float, p_far: float):
+    # distances s in (0, 1/2) from one endpoint of [0, 1] and weights for
+    # int g(s) s^p_near (1-s)^p_far ds: the innermost panel is Gauss-Jacobi
+    # with s^p_near in its weight, the graded ones Gauss-Legendre
+    s_leg, w_leg, inner = _graded_panels()
+    jx, jw = _jacobi_nodes(p_near)
+    s = np.concatenate([0.5 * inner * (1.0 + jx), s_leg])
+    w = np.concatenate([jw * (0.5 * inner) ** (1.0 + p_near), w_leg * s_leg ** p_near])
+    return s, w * (1.0 - s) ** p_far
+
+
+@lru_cache(maxsize=8)
+def _endpoint_rule(pa: float, qb: float):
+    # nodes t of [0, 1], their exact complements 1 - t and the weights with
+    # t^pa (1-t)^qb included
+    sa, wa = _half_rule(pa, qb)
+    sb, wb = _half_rule(qb, pa)
+    return (np.concatenate([sa, 1.0 - sb]), np.concatenate([1.0 - sa, sb]),
+            np.concatenate([wa, wb]))
+
+
 def quad_endpoint_singular(f, a: float, b: float, pa: float = 0.0,
                            qb: float = 0.0) -> float:
     """int_a^b f(x) (x-a)^pa (b-x)^qb dx for pa, qb > -1.
 
-    The substitution x = a + (b-a) sin^2 w absorbs both endpoint powers
-    exactly; residual integrable singularities inside f (logs, small
-    fractional powers) are left to the adaptive rule.  ``f`` is called as
-    f(x, x - a, b - x) with the offsets computed in exact form so that
-    integrands singular at the endpoints stay accurate there.
+    One fixed composite rule: each half of [a, b] is cut into panels that
+    shrink geometrically toward its endpoint (ratio 0.15, 19 levels, so the
+    innermost panel spans 2.2e-16 of the half-length) with 20 nodes per
+    panel.  The two innermost panels are Gauss-Jacobi and absorb
+    (x-a)^pa and (b-x)^qb exactly; the others are Gauss-Legendre.  The
+    grading also resolves a factor of f that is singular just beyond an
+    endpoint, such as (1 - y)^(-alpha/2) in ``interval_potential`` when
+    its upper end x lies 1e-13 short of 1.
+
+    ``f`` is called once, on arrays, as f(x, x - a, b - x); the offsets are
+    computed in exact form so that integrands singular at the endpoints
+    stay accurate there.  It may return a scalar for a constant integrand.
     """
     length = b - a
     if length <= 0.0:
         return 0.0
-    ea, eb = 1.0 + 2.0 * pa, 1.0 + 2.0 * qb
-
-    def g(w):
-        s, c = math.sin(w), math.cos(w)
-        dxa = length * s * s
-        dxb = length * c * c
-        return f(a + dxa, dxa, dxb) * s ** ea * c ** eb
-
-    val, _ = quad(g, 0.0, math.pi / 2.0, limit=400, epsabs=1e-15, epsrel=1e-11)
-    return 2.0 * length ** (1.0 + pa + qb) * val
+    t, u, w = _endpoint_rule(float(pa), float(qb))
+    dxa, dxb = length * t, length * u
+    val = np.broadcast_to(f(a + dxa, dxa, dxb), w.shape) @ w
+    return float(length ** (1.0 + pa + qb) * val)
 
 
 def interval_potential(x: float, alpha: float) -> float:
@@ -454,15 +500,16 @@ def interval_potential(x: float, alpha: float) -> float:
     total = 0.0
     if x > -1.0 + 1e-14:
         # lower piece: kernel singular at the upper endpoint y = x
+        # 1 - y = (1 - x) + (x - y) keeps its relative accuracy next to y = x
         at_one = x >= 1.0 - 1e-14
         f_lo = (lambda y, dya, dyb: 1.0) if at_one \
-            else (lambda y, dya, dyb: (1.0 - y) ** ml)
+            else (lambda y, dya, dyb: ((1.0 - x) + dyb) ** ml)
         total += quad_endpoint_singular(f_lo, -1.0, x, pa=ml,
                                         qb=s + (ml if at_one else 0.0))
     if x < 1.0 - 1e-14:
         at_minus_one = x <= -1.0 + 1e-14
         f_hi = (lambda y, dya, dyb: 1.0) if at_minus_one \
-            else (lambda y, dya, dyb: (1.0 + y) ** ml)
+            else (lambda y, dya, dyb: ((1.0 + x) + dya) ** ml)
         total += quad_endpoint_singular(f_hi, x, 1.0,
                                         pa=s + (ml if at_minus_one else 0.0), qb=ml)
     return total
@@ -508,14 +555,16 @@ def shell_total_mass(eps: float, p: StableParams, normalization: str = "raw") ->
         * _arcsine_mass_factor(p.alpha)
 
 
-def _log_series_sums(a: float, b: float, w: float):
+def _log_series_sums(a: float, b: float, w):
     """(G_p, G_h) with G_p = 2F1(a,b;1;w) and G_h the digamma-weighted series
-    sum_k (a)_k (b)_k / (k!)^2 (2 psi(k+1) - psi(a+k) - psi(b+k)) w^k."""
-    pk = 1.0
+    sum_k (a)_k (b)_k / (k!)^2 (2 psi(k+1) - psi(a+k) - psi(b+k)) w^k, at
+    every entry of the array w."""
+    w = np.asarray(w, dtype=float)
+    pk = np.ones_like(w)
     psi1 = float(sc.digamma(1.0))
     psia = float(sc.digamma(a))
     psib = float(sc.digamma(b))
-    gp = pk
+    gp = pk.copy()
     gh = pk * (2.0 * psi1 - psia - psib)
     for k in range(10_000):
         pk *= (a + k) * (b + k) / ((k + 1.0) ** 2) * w
@@ -526,7 +575,8 @@ def _log_series_sums(a: float, b: float, w: float):
         th = pk * (2.0 * psi1 - psia - psib)
         gp += tp
         gh += th
-        if abs(tp) <= 1e-17 * abs(gp) and abs(th) <= 1e-17 * max(abs(gh), 1e-300):
+        if (np.abs(tp) <= 1e-17 * np.abs(gp)).all() and \
+                (np.abs(th) <= 1e-17 * np.maximum(np.abs(gh), 1e-300)).all():
             break
     return gp, gh
 
@@ -558,8 +608,8 @@ def shell_potential(x, eps: float, p: StableParams,
     if a < 1.0:
         s = a - 1.0
         coef_sing, coef_reg = hyp2f1_near_one_parts(ha, hb, hc)
-        fa = lambda w: hyp2f1_series(hc - ha, hc - hb, 1.0 + s, w)
-        fb = lambda w: hyp2f1_series(ha, hb, 1.0 - s, w)
+        fa = lambda w: hyp2f1_series_many(hc - ha, hc - hb, 1.0 + s, w)
+        fb = lambda w: hyp2f1_series_many(ha, hb, 1.0 - s, w)
         total = 0.0
         if not merge_lo:
             out_hi = (lambda r, db: 1.0) if merge_hi else \
@@ -596,8 +646,8 @@ def shell_potential(x, eps: float, p: StableParams,
         def f_all(r, da, db):
             w = db * (1.0 + r)
             gp, gh = _log_series_sums(ha, hb, w)
-            return (gh - math.log(db if db > 0 else 5e-324) * gp
-                    - math.log(1.0 + r) * gp) * r ** (d - 1) * out_hi(r, db)
+            return (gh - np.log(np.maximum(db, 5e-324)) * gp
+                    - np.log(1.0 + r) * gp) * r ** (d - 1) * out_hi(r, db)
 
         total += quad_endpoint_singular(f_all, rl, 1.0, -0.5, q_extra)
     if not merge_hi:
@@ -608,8 +658,8 @@ def shell_potential(x, eps: float, p: StableParams,
         def g_all(r, da, db):
             w = da * (r + 1.0) / (r * r)
             gp, gh = _log_series_sums(ha, hb, w)
-            return (gh - math.log(da if da > 0 else 5e-324) * gp
-                    - (math.log(1.0 + r) - 2.0 * math.log(r)) * gp) * out_lo(r, da)
+            return (gh - np.log(np.maximum(da, 5e-324)) * gp
+                    - (np.log(1.0 + r) - 2.0 * np.log(r)) * gp) * out_lo(r, da)
 
         total += quad_endpoint_singular(g_all, 1.0, ru, p_extra, -0.5)
     return pref * a1 * total

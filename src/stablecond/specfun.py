@@ -84,6 +84,23 @@ def hyp2f1_series(a: float, b: float, c: float, z: float) -> float:
     raise ConvergenceError(f"2F1 series diverges for z={z}")
 
 
+def hyp2f1_series_many(a: float, b: float, c: float, z) -> np.ndarray:
+    """``hyp2f1_series`` at every entry of the array z, |z| < 1.
+
+    Every entry takes the scalar series' terms and, until the slowest entry
+    has converged, further terms below 1e-17 of its sum.
+    """
+    z = np.asarray(z, dtype=float)
+    total = np.ones_like(z)
+    term = np.ones_like(z)
+    for n in range(_SERIES_MAX_TERMS):
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+        total += term
+        if (np.abs(term) <= _SERIES_STOP * np.abs(total)).all():
+            return total
+    raise ConvergenceError(f"2F1 series did not converge for max |z|={np.abs(z).max()}")
+
+
 def _hyp2f1_polynomial(a: float, b: float, c: float, z: float) -> float:
     # a or b is a non-positive integer: the series terminates
     if _is_nonpos_int(a) and (not _is_nonpos_int(b) or round(a) >= round(b)):

@@ -265,12 +265,12 @@ def test_unrunnable_config_rejected(tmp_path, capsys, exp, line, match):
 # CHANGES.md.
 PINS = {
     "specfun-suite": (0, {
-        "report.json": "29916bfbe26e19d22715772f4da20dc88f85a953bc7f9edd1576dc5f0663e4fe",
-        "report.csv": "2812fbb8f52818b45e6aebd0df57d96693fc1e9c50237b9f4c482594571a949b",
+        "report.json": "9b8252eb9d98a0981d4692a073e87f00a82c30b21443ca5d73d77105388d4ff4",
+        "report.csv": "e80e6e1759f6ea1c172297b042283a7fd9fe1c0f47458f5fb4adebc15cbbcc9d",
         "plot.dat": "33be48793728462168a28c1e9ab61c1263c492b372efd4a1773a366c59424657"}),
     "potential-suite": (0, {
-        "report.json": "458647afc8eb0b7d8aa2eee74e58343f416c666f01112937e632478b53a7a464",
-        "report.csv": "34bbdadcb45f97c0ad60df663aba02afe9af21cc036c08d685cf452533d7c81b",
+        "report.json": "4eb2eb218a99f5df682a5d2adb8eaff77e2fe6d588124668c87d691887c2a0a5",
+        "report.csv": "30dd7d61653a9cc285412afdf7998dbf0b03bbd242ff875fa908c278abc1ef08",
         "plot.dat": "9789dc215afc5ccc427cde633ead28a9f71090514aa7f8b62283f367ab1f7e75"}),
     "hitting": (0, {
         "report.json": "385a65b2af0664833aadd64be5e6c089b95e140941c0413b8a7beffc1d7522d7",

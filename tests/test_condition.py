@@ -155,8 +155,13 @@ def test_duality_window_clearance():
 def test_duality_envelope_guard():
     win = cond.Window((2.0, 0.0), 0.3)
     _, hmax = cond._eta_mass(HALF, win, P2)
-    xs = cond._sample_eta_window(HALF, win, P2, sim.rng_for_block(54, 0), 200, hmax)
+    xs, hs = cond._sample_eta_window(HALF, win, P2, sim.rng_for_block(54, 0), 200,
+                                     hmax)
     assert xs.shape == (200, 2)
+    # the sampler returns H_S at the accepted points, for the duality weight;
+    # the kernel sums of a different batch of points may differ in the last bit
+    np.testing.assert_allclose(hs, pot.sphere_harmonic_many(HALF, xs, P2),
+                               rtol=1e-14, atol=0.0)
     with pytest.raises(ValueError, match="envelope"):
         cond._sample_eta_window(HALF, win, P2, sim.rng_for_block(54, 0), 200,
                                 0.1 * hmax)

@@ -103,6 +103,17 @@ def test_shell_distance_keeps_relative_accuracy_near_the_set():
     assert ge.euclidean_distance_to_shell(S, np.zeros(2)) == 1.0
 
 
+def test_shell_distance_of_a_nonfinite_row_is_nan():
+    # a NaN distance freezes a path in the martingale stop test; only the
+    # origin is at distance 1
+    S = ge.CapSet.single((1.0, 0.0), math.pi / 2)
+    X = np.array([[np.nan, np.nan], [np.inf, 0.0], [0.0, 0.0]])
+    with np.errstate(invalid="ignore"):
+        got = ge.euclidean_distance_to_shell_many(S, X)
+    assert np.isnan(got[0]) and np.isnan(got[1])
+    assert got[2] == 1.0
+
+
 def test_surface_measure_basic():
     for d in (2, 3, 4, 5):
         assert ge.surface_measure(ge.CapSet.full_sphere(d)) == pytest.approx(1.0)

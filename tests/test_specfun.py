@@ -72,6 +72,16 @@ def test_2f1_empty_sum():
     assert sf.gauss_2f1(0.7, 1.3, 2.2, 0.0) == 1.0
 
 
+def test_series_many_matches_the_scalar_series():
+    # the array series sums the scalar series' terms, plus terms below
+    # 1e-17 relative for the entries that converge first
+    z = np.concatenate([[0.0, 1e-16, -0.4], np.linspace(-0.5, 0.9, 29)])
+    for a, b, c in ((0.75, 0.5, 1.4), (1.9, -0.3, 0.6), (2.5, 0.05, 3.0)):
+        many = sf.hyp2f1_series_many(a, b, c, z)
+        scalar = [sf.hyp2f1_series(a, b, c, float(v)) for v in z]
+        np.testing.assert_allclose(many, scalar, rtol=1e-15, atol=0.0)
+
+
 def test_2f1_classical_log_form():
     z = 0.3
     assert sf.gauss_2f1(1.0, 1.0, 2.0, z) == pytest.approx(-math.log(1 - z) / z,
