@@ -177,8 +177,13 @@ def resolve_config(raw: dict[str, tuple[str, str]]) -> dict:
         if len(cfg["x0"]) != cfg["d"]:
             raise ConfigError(f"x0 must have d = {cfg['d']} coordinates, "
                               f"got {len(cfg['x0'])}")
-    if cfg["experiment"] == "duality" and cfg["h"]:
-        raise ConfigError("duality draws X_t in one step and takes no h")
+    if cfg["experiment"] == "duality":
+        if cfg["h"]:
+            raise ConfigError("duality draws X_t in one step and takes no h")
+        for key in ("window_f", "window_g"):
+            if cfg[key] and len(cfg[key][0]) != cfg["d"]:
+                raise ConfigError(f"{key} center must have d = {cfg['d']} "
+                                  f"coordinates, got {len(cfg[key][0])}")
     if cfg["n_paths"] < 1:
         raise ConfigError("n_paths must be >= 1")
     if cfg["workers"] < 1:

@@ -462,9 +462,10 @@ def duality_experiment(p: StableParams, S: geo.CapSet, window_f: Window,
     if t < 0.0:
         raise ValueError("t must be >= 0")
     for win in (window_f, window_g):
-        c = np.zeros(p.d)
-        c[: len(win.center)] = win.center
-        if geo.euclidean_distance_to_shell(S, c) < win.radius + 1e-3:
+        if len(win.center) != p.d:
+            raise ValueError(f"window center {win.center} must have d = {p.d} "
+                             "coordinates")
+        if geo.euclidean_distance_to_shell(S, win.center) < win.radius + 1e-3:
             raise ValueError("duality windows must stay clear of the target set")
     if t == 0.0:
         lhs = rhs = MCEstimate(_overlap_integral(S, window_f, window_g, p),

@@ -408,40 +408,28 @@ def _cap_product_nodes(center, radius, d, n_target):
 
 
 def quadrature_nodes(S: CapSet, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights realising integration against sigma_1 restricted to S.
+    """Nodes and weights realising integration against sigma_1 restricted to S
+    (d >= 3; d = 2 harmonic weights use a graded rule of their own).
 
     Weights are rescaled so they sum exactly to surface_measure(S).
     Raises if n is too small to give every cap at least 8 nodes.
     """
+    if S.d < 3:
+        raise ValueError("quadrature rules are built for d >= 3 only")
     if n < 8 * len(S.caps):
         raise ValueError(f"need at least {8 * len(S.caps)} nodes for {len(S.caps)} caps")
-    d = S.d
-    sigma = surface_measure(S)
-    if d == 2:
-        arcs = _merge_arcs(S.caps)
-        total_len = sum(hi - lo for lo, hi in arcs)
-        nodes, weights = [], []
-        for lo, hi in arcs:
-            m = max(8, int(round(n * (hi - lo) / total_len)))
-            ang, ws = gauss_panels(lo, hi, m)
-            nodes.append(np.stack([np.cos(ang), np.sin(ang)], axis=1))
-            weights.append(ws / (2.0 * math.pi))
-        nodes = np.concatenate(nodes)
-        weights = np.concatenate(weights)
-    else:
-        meas = np.array([_cap_measure(r, d) for _, r in S.caps])
-        shares = np.maximum(meas / meas.sum(), 0.02)
-        nodes, weights = [], []
-        for (c, r), share in zip(S.caps, shares / shares.sum()):
-            nd, w = _cap_product_nodes(c, r, d, max(16, int(n * share)))
-            nodes.append(nd)
-            weights.append(w)
-        nodes = np.concatenate(nodes)
-        weights = np.concatenate(weights)
-        if len(S.caps) > 1:
-            weights = weights / _covering_counts(S, nodes)
-    weights = weights * (sigma / weights.sum())
-    return nodes, weights
+    meas = np.array([_cap_measure(r, S.d) for _, r in S.caps])
+    shares = np.maximum(meas / meas.sum(), 0.02)
+    nodes, weights = [], []
+    for (c, r), share in zip(S.caps, shares / shares.sum()):
+        nd, w = _cap_product_nodes(c, r, S.d, max(16, int(n * share)))
+        nodes.append(nd)
+        weights.append(w)
+    nodes = np.concatenate(nodes)
+    weights = np.concatenate(weights)
+    if len(S.caps) > 1:
+        weights = weights / _covering_counts(S, nodes)
+    return nodes, weights * (surface_measure(S) / weights.sum())
 
 
 # -- membership --------------------------------------------------------------

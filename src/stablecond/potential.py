@@ -78,13 +78,11 @@ class ConstantTable:
     d: int
     potential_const: float
     c_alpha_d: float | None = None
-    C_alpha_d: float | None = None
     A_sphere: float | None = None
     c_1_d: float | None = None
     A_sphere_1: float | None = None
     k_alpha_d: float | None = None
     A_plane: float | None = None
-    k_1_d_R: float | None = None
     A_plane_1: float | None = None
     k_equilibrium: float | None = None
     A_sphere_eq: float | None = None
@@ -108,13 +106,9 @@ def constants(p: StableParams) -> ConstantTable:
         / (2.0 ** a * math.pi ** (d / 2.0)),
     }
     if a < 1.0:
-        c_ad = math.exp(
+        fields["c_alpha_d"] = math.exp(
             ln_gamma((d + a - 2.0) / 2.0) - a * math.log(2.0)
             - 0.5 * d * math.log(math.pi) - ln_gamma(1.0 - a) - ln_gamma((2.0 - a) / 2.0))
-        fields["c_alpha_d"] = c_ad
-        fields["C_alpha_d"] = c_ad * math.exp(
-            (2.0 - a) * math.log(2.0) + 0.5 * (d - 1) * math.log(math.pi)
-            + 2.0 * ln_gamma((2.0 - a) / 2.0) - ln_gamma(2.0 - a) - ln_gamma((d - 1) / 2.0))
         fields["A_sphere"] = math.exp(
             (1.0 - 2.0 * a) * math.log(2.0) + ln_gamma((d + a - 2.0) / 2.0)
             - 0.5 * d * math.log(math.pi) - ln_gamma(1.0 - a)
@@ -141,8 +135,6 @@ def constants(p: StableParams) -> ConstantTable:
         fields["A_sphere_1"] = math.exp(
             ln_gamma((d - 1.0) / 2.0) - 0.5 * (d - 1) * math.log(math.pi))
         if d >= 3:
-            fields["k_1_d_R"] = math.exp(
-                ln_gamma((d - 2.0) / 2.0) - math.log(2.0) - 0.5 * d * math.log(math.pi))
             fields["A_plane_1"] = math.exp(
                 ln_gamma((d - 2.0) / 2.0) - 0.5 * (d - 2) * math.log(math.pi))
         fields["k_equilibrium"] = math.exp(
@@ -166,9 +158,13 @@ def _arcsine_mass_factor(alpha: float) -> float:
 
 # -- harmonic functions ------------------------------------------------------
 
-_DEFAULT_NODES = {2: 512, 3: 4096}
+_DEFAULT_NODES = {3: 4096}
 _MAX_DOUBLINGS = 6
 _RTOL = 1e-6        # relative accuracy of the harmonic weights
+
+_PANEL_NODES = 20       # Gauss nodes per panel
+_GRADING_RATIO = 0.15   # ratio of neighbouring panel lengths in a graded rule
+_GRADING_LEVELS = 19    # graded panels per half of an endpoint rule
 
 
 @lru_cache(maxsize=128)
@@ -187,33 +183,52 @@ def _kernel_sum(nodes, weights, X, power):
     return out
 
 
+def _peak_integrals(g, w, length):
+    # int_0^L_i g(i, s) ds for every row i, where g peaks a distance w_i
+    # before s = 0 and g(rows, s) takes a slice of rows and their nodes s:
+    # the panel [0, w_i], then panels growing by 1/_GRADING_RATIO up to L_i,
+    # _PANEL_NODES Gauss-Legendre nodes each.  Rows go 4096 at a time, padded
+    # to the largest panel count among them with zero-length panels at L_i
+    out = np.empty(len(w))
+    grow = 1.0 / _GRADING_RATIO
+    gx, gw = geo._leggauss(_PANEL_NODES)
+    for i in range(0, len(w), 4096):
+        rows = slice(i, i + 4096)
+        wr, lr = np.fmin(w[rows], length[rows]), length[rows]
+        levels = math.ceil(np.log(np.fmax(lr / wr, 1.0)).max() / math.log(grow))
+        edges = np.minimum(wr[:, None] * np.r_[0.0, grow ** np.arange(levels + 1)],
+                           lr[:, None])
+        edges[:, -1] = lr
+        mid = 0.5 * (edges[:, 1:] + edges[:, :-1])[:, :, None]
+        half = 0.5 * (edges[:, 1:] - edges[:, :-1])[:, :, None]
+        s = (mid + half * gx).reshape(len(lr), -1)
+        out[rows] = (g(rows, s) * (half * gw).reshape(len(lr), -1)).sum(axis=1)
+    return out
+
+
 def sphere_harmonic_many(S: geo.CapSet, X, p: StableParams) -> np.ndarray:
     """Integral of |x-theta|^(alpha-d) over S against sigma_1, vectorised.
 
-    Node counts double until a Richardson check passes for every point;
-    points too close to S for the product rule fall back to adaptive arc
-    integration (d = 2 only).
+    d = 2: one distance-graded Gauss-Legendre rule for all points, on the
+    arc pieces between arg x, its antipode and the arc ends; a row that is
+    not finite gives NaN.  d >= 3: a product rule whose node count doubles
+    until a Richardson check passes for every point; points within 0.02 of
+    S raise ``ConvergenceError``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     dist = geo.euclidean_distance_to_shell_many(S, X)
     if np.any(dist < SINGULARITY_CUTOFF):
         raise SingularityError("point within 1e-9 of the spherical target set")
+    if p.d == 2:
+        return np.where(np.isnan(dist), np.nan, _sphere_harmonic_d2(S, X, p))
+    if np.any(dist < 0.02):
+        raise ConvergenceError(
+            "near-set harmonic evaluation is only supported for d = 2")
     out = np.empty(len(X))
-    # points close to the set need node spacing below their distance; send
-    # them straight to the adaptive rule rather than up the doubling ladder
-    near = dist < 0.02
-    if np.any(near):
-        if p.d != 2:
-            raise ConvergenceError(
-                "near-set harmonic evaluation is only supported for d = 2")
-        for i in np.nonzero(near)[0]:
-            out[i] = _sphere_harmonic_adaptive_d2(S, X[i], p, dist[i])
-        if near.all():
-            return out
-    todo = np.nonzero(~near)[0]
+    todo = np.arange(len(X))
     n = _DEFAULT_NODES.get(p.d, 16384)
     nodes, weights = _cached_nodes(S, n)
-    prev = _kernel_sum(nodes, weights, X[todo], p.alpha - p.d)
+    prev = _kernel_sum(nodes, weights, X, p.alpha - p.d)
     for _ in range(_MAX_DOUBLINGS):
         n *= 2
         nodes, weights = _cached_nodes(S, n)
@@ -224,47 +239,44 @@ def sphere_harmonic_many(S: geo.CapSet, X, p: StableParams) -> np.ndarray:
         prev = cur[~ok]
         if todo.size == 0:
             return out
-    if p.d == 2:
-        for i in todo:
-            out[i] = _sphere_harmonic_adaptive_d2(S, X[i], p, dist[i])
-        return out
     raise ConvergenceError(
         f"sphere harmonic quadrature did not converge for {todo.size} points")
+
+
+def _sphere_harmonic_d2(S: geo.CapSet, X, p: StableParams) -> np.ndarray:
+    # the kernel ((r - 1)^2 + 4 r sin^2(t/2))^((alpha-2)/2) of the offset t
+    # from psi = arg x is even and 2 pi-periodic, and it peaks at the
+    # multiples of 2 pi: cut every arc at the multiples of pi, so that no
+    # piece ends next to the peak one turn away, and integrate each piece
+    # outward from the end nearest a peak.  Its complex singularities lie
+    # about |r - 1|/sqrt(r) off the peak, which gives the distance w
+    r = np.hypot(X[:, 0], X[:, 1])
+    psi = np.arctan2(X[:, 1], X[:, 0])
+    point, start, length = [], [], []
+    for lo, hi in geo._merge_arcs(S.caps):
+        a, b = lo - psi, hi - psi       # offsets in (-3 pi, 3 pi)
+        for k in range(-3, 3):
+            s0, s1 = np.maximum(a, k * math.pi), np.minimum(b, (k + 1) * math.pi)
+            keep = np.flatnonzero(s1 > s0)
+            point.append(keep)
+            start.append(s0[keep] - k * math.pi if k % 2 == 0
+                         else (k + 1) * math.pi - s1[keep])
+            length.append(s1[keep] - s0[keep])
+    point, start, length = (np.concatenate(v) for v in (point, start, length))
+    rp = r[point]
+    with np.errstate(divide="ignore"):      # the origin: one panel
+        w = np.hypot(np.abs(rp - 1.0) / np.sqrt(rp), start)
+    c, q = (rp - 1.0) ** 2, 4.0 * rp
+    pw = (p.alpha - 2.0) / 2.0
+    vals = _peak_integrals(
+        lambda i, s: (c[i, None] + q[i, None] * np.sin(0.5 * (start[i, None] + s)) ** 2) ** pw,
+        w, length)
+    return np.bincount(point, weights=vals, minlength=len(X)) / (2.0 * math.pi)
 
 
 def sphere_harmonic(S: geo.CapSet, x, p: StableParams) -> float:
     """Harmonic weight of the spherical set at one point x not in S."""
     return float(sphere_harmonic_many(S, np.array([x], dtype=float), p)[0])
-
-
-def _sphere_harmonic_adaptive_d2(S: geo.CapSet, x, p: StableParams,
-                                 dist: float) -> float:
-    arcs = geo._merge_arcs(S.caps)
-    r = float(np.linalg.norm(x))
-    psi = math.atan2(x[1], x[0])
-    pw = (p.alpha - 2.0) / 2.0
-    if dist < 1e-4:
-        # the kernel peaks at psi with width about dist: break the arcs at
-        # psi +- dist * 4^k too and evaluate it without cancellation (the
-        # plain rule below returned negative values at 1e-6)
-        marks = [0.0] + [s * dist * 4.0 ** k for k in range(40) for s in (-1.0, 1.0)]
-
-        def f(t):
-            return ((r - 1.0) ** 2 + 4.0 * r * math.sin(0.5 * (t - psi)) ** 2) ** pw
-    else:
-        # within 1e-8 relative of an mpmath quadrature from 1e-4 on
-        marks = [0.0]
-
-        def f(t):
-            return (r * r + 1.0 - 2.0 * r * math.cos(t - psi)) ** pw
-    total = 0.0
-    for lo, hi in arcs:
-        pts = sorted(c + m for c in (psi - 2 * math.pi, psi, psi + 2 * math.pi)
-                     for m in marks if lo < c + m < hi)
-        val, _ = quad(f, lo, hi, points=pts or None, limit=400,
-                      epsabs=1e-13, epsrel=1e-9)
-        total += val
-    return total / (2.0 * math.pi)
 
 
 def full_sphere_harmonic_closed(radius: float, p: StableParams) -> float:
@@ -307,11 +319,16 @@ def _plane_harmonic_d2(D, u, eta, p):
         lo, hi = c0 - radius, c0 + radius
     else:
         (lo,), (hi,) = D.params
-    pw = p.alpha - 2.0
-    f = lambda s: (abs(s - u[0]) ** 2 + eta * eta) ** (pw / 2.0)
-    pts = [u[0]] if lo < u[0] < hi else None
-    val, _ = quad(f, lo, hi, points=pts, limit=400, epsabs=1e-13, epsrel=1e-10)
-    return val
+    # the segment as offsets from u, cut at 0 and integrated outward from
+    # the peak of (t^2 + eta^2)^((alpha-2)/2) at t = 0
+    a, b = lo - u[0], hi - u[0]
+    start = np.array([max(-b, 0.0), max(a, 0.0)])
+    length = np.array([min(b, 0.0) - a, b - max(a, 0.0)])
+    start, length = start[length > 0.0], length[length > 0.0]
+    pw = (p.alpha - 2.0) / 2.0
+    vals = _peak_integrals(lambda i, s: ((start[i, None] + s) ** 2 + eta * eta) ** pw,
+                           np.hypot(eta, start), length)
+    return float(vals.sum())
 
 
 def _chord_ball(b, gam, radius):
@@ -412,11 +429,6 @@ def _plane_harmonic_ball(D, u, eta, p):
 
 
 # -- interval potential and the log-kernel integral --------------------------
-
-_PANEL_NODES = 20       # Gauss nodes per panel
-_GRADING_RATIO = 0.15   # panel length ratio toward each endpoint
-_GRADING_LEVELS = 19    # graded panels per half, besides the innermost
-
 
 @lru_cache(maxsize=1)
 def _graded_panels():

@@ -17,7 +17,6 @@ import numpy as np
 from scipy import special as sc
 
 # standard mathematical constants, 20 digits
-EULER_GAMMA = 0.57721566490153286061
 CATALAN = 0.91596559417721901505
 
 _SERIES_MAX_TERMS = 10_000
@@ -34,13 +33,6 @@ def ln_gamma(x: float) -> float:
     if not x > 0.0:
         raise ValueError(f"ln_gamma requires x > 0, got {x}")
     return math.lgamma(x)
-
-
-def digamma(x: float) -> float:
-    """Digamma function psi(x) = Gamma'(x)/Gamma(x) for x > 0."""
-    if not x > 0.0:
-        raise ValueError(f"digamma requires x > 0, got {x}")
-    return float(sc.digamma(x))
 
 
 def gamma_ratio(numer: tuple[float, ...], denom: tuple[float, ...]) -> float:

@@ -249,6 +249,9 @@ def test_reversal_horizon_is_used(tmp_path):
     ("strike", "x0 =", "x0 must have d = 2 coordinates"),
     ("strike", "x0 = 2", "x0 must have d = 2 coordinates"),
     ("duality", "h = 0.01", "duality draws X_t in one step and takes no h"),
+    ("duality", "window_f = 2 : 0.3", "window_f center must have d = 2 coordinates"),
+    ("duality", "window_g = 2 0.4 0 : 0.3",
+     "window_g center must have d = 2 coordinates"),
 ])
 def test_unrunnable_config_rejected(tmp_path, capsys, exp, line, match):
     # a later line overrides an earlier one
@@ -277,17 +280,17 @@ PINS = {
         "report.csv": "9696eb931c8e549bf4a185a8eead724649babf03457378c7046d12871db93f03",
         "plot.dat": "cafab934a7b214e16ed2f404d89e435b8f6fdf2a41aa4891722c84e6e8eed0ca"}),
     "strike": (0, {
-        "report.json": "4db5122364e39855c6246fcd7be972cb83fe07558c0027f1472a5b75e5596916",
-        "report.csv": "226f6bb0cccd7ec4e4eb5fd9712877a6529faaf9ac212fda89b0c1769b81d0ed",
-        "plot.dat": "3a0136d96f32d7bc113fe9ddf855ba70ab34961bb0f40dc4865802c8a7475d12"}),
+        "report.json": "5841bc02d073971ce2faaf9b61701a09da0bcca0ca78653c826cb3032745315d",
+        "report.csv": "19b2033a59f77b127de3347012fa9d3077a9a891f2d9415603a338ce9ea1523d",
+        "plot.dat": "cf5b403d4da1aafae8250eb813f39ef415895ac91098e3bfcadfaa191d791730"}),
     "duality": (0, {
-        "report.json": "17efcb6e117b354573aa9f03a330d3dd76cb6f9af5a93cac71f4a0eb0c6f5541",
-        "report.csv": "a4a4a5bf88813305105951d18fdb5de3b357e440b1025fa5adba1c0a2092aabe",
-        "plot.dat": "0bda0da1cc5bf080e7ce1b23d47f81b568182ac7a425ced645119870753d894e"}),
+        "report.json": "94cd363eb4dd88d3c1f34046e991f8c646b3840aa5f46a9f718f2973ac7244ef",
+        "report.csv": "a4c2bd17846eb077affd2d2b6fe86c35d50c8ee42bb380e7536e0946c44b6607",
+        "plot.dat": "adc2a8cc0b9a04ec203d279440dd4d023392aa04db11f11fde793db84089c057"}),
     "reversal": (0, {
-        "report.json": "4027829833e42e5de67f69c2d7709754834b062c5d6c3aab1f38368dbe109da1",
-        "report.csv": "5c595f64df313adeb4c43c8820fed5c3444e8f5a3e3bf8159e66bca81f22ce1d",
-        "plot.dat": "3aa1c620d17e390cf1bd26030cd0d98f031d4aab96e5cf1d00f802115e409e1d"}),
+        "report.json": "2b2f4938031d0317a18cb1571a02f7f24ccb7f3c747cff947cba76a11c1fc185",
+        "report.csv": "7c8c110d96d3571cbbc7a77ba3332709aeb8cf74260a98aad9c2c7a118b6b218",
+        "plot.dat": "cbb05d455a76f3d8622a5cd23b942db4b337226b3e449e46a1d9b1978f5164d2"}),
 }
 
 

@@ -152,6 +152,19 @@ def test_duality_window_clearance():
         cond.duality_experiment(P2, HALF, wf, wg, 0.5, 100, seed=52)
 
 
+def test_duality_window_center_needs_d_coordinates():
+    # (2,) was padded to (2, 0) for the clearance check but broadcast to
+    # (2, 2) by the window itself; (2, 0, 0) failed in numpy broadcasting
+    wg = cond.Window((0.0, 2.0), 0.3)
+    for center in ((2.0,), (2.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="must have d = 2 coordinates"):
+            cond.duality_experiment(P2, HALF, cond.Window(center, 0.3), wg, 0.5,
+                                    100, seed=52)
+        with pytest.raises(ValueError, match="must have d = 2 coordinates"):
+            cond.duality_experiment(P2, HALF, wg, cond.Window(center, 0.3), 0.0,
+                                    100, seed=52)
+
+
 def test_duality_envelope_guard():
     win = cond.Window((2.0, 0.0), 0.3)
     _, hmax = cond._eta_mass(HALF, win, P2)

@@ -152,10 +152,6 @@ def test_surface_measure_shrinkage():
 # -- quadrature -------------------------------------------------------------------
 
 def test_quadrature_nodes_normalisation():
-    full2 = ge.CapSet.full_sphere(2)
-    nodes, w = ge.quadrature_nodes(full2, 512)
-    assert w.sum() == pytest.approx(1.0, abs=1e-10)
-    assert (w * nodes[:, 0] ** 2).sum() == pytest.approx(0.5, rel=1e-8)
     full3 = ge.CapSet.full_sphere(3)
     nodes, w = ge.quadrature_nodes(full3, 4096)
     assert w.sum() == pytest.approx(1.0, abs=1e-10)
@@ -166,9 +162,12 @@ def test_quadrature_nodes_normalisation():
 
 
 def test_quadrature_nodes_too_few():
-    caps = ge.CapSet((((1.0, 0.0), 0.2), ((-1.0, 0.0), 0.2)), 2)
-    with pytest.raises(ValueError):
+    caps = ge.CapSet((((1.0, 0.0, 0.0), 0.2), ((-1.0, 0.0, 0.0), 0.2)), 3)
+    with pytest.raises(ValueError, match="need at least 16 nodes"):
         ge.quadrature_nodes(caps, 10)
+    # d = 2 harmonic weights have a graded rule of their own
+    with pytest.raises(ValueError, match="d >= 3"):
+        ge.quadrature_nodes(ge.CapSet.full_sphere(2), 512)
 
 
 def test_quadrature_kernel_richardson():

@@ -126,6 +126,81 @@ def test_sphere_harmonic_near_set_adaptive():
     assert val == pytest.approx(oracle / (2 * math.pi), rel=1e-7)
 
 
+def _mp_arc_harmonic(mp, arcs, x, alpha):
+    # (1/2 pi) sum over the arcs of the kernel ((r-1)^2 + 4 r sin^2(t/2))^pw
+    # of the offset t from arg x, at 30 digits, cut around each copy of arg x
+    # down to a tenth of its width |r - 1|
+    with mp.workdps(30):
+        r, psi = mp.hypot(x[0], x[1]), mp.atan2(x[1], x[0])
+        pw = (mp.mpf(alpha) - 2) / 2
+        f = lambda t: ((r - 1) ** 2 + 4 * r * mp.sin((t - psi) / 2) ** 2) ** pw
+        levels = range(min(12, max(1, int(2 - mp.log10(abs(r - 1) + 1e-30)))))
+        total = 0
+        for lo, hi in arcs:
+            cuts = {lo, hi}
+            for c in (psi - 2 * mp.pi, psi, psi + 2 * mp.pi):
+                cuts |= {c} | {c + s * mp.mpf(10) ** -k for k in levels for s in (-1, 1)}
+            total += mp.quad(f, sorted(c for c in cuts if lo <= c <= hi))
+        return float(total / (2 * mp.pi))
+
+
+def test_sphere_harmonic_graded_rule_oracle():
+    # radial points at 1e-8 ... 3 from the circle, with arg x inside and
+    # outside the arcs (on the axes, so |x| and arg x are exact), and
+    # (50, 3) and the origin; one batch per set.  The seam cap contains
+    # arg x = pi and, through (-r, -0.0), arg x = -pi; on the full circle
+    # no piece may end next to the copy of arg x one turn away
+    mp = pytest.importorskip("mpmath")
+    sets = [  # caps as (center angle, radius), directions of the points
+        ([(0.0, math.pi / 2)], [(1.0, 0.0), (-1.0, 0.0)], (0.1, 0.5, 1.0)),
+        ([(0.0, 0.4), (math.pi / 2, 0.5)], [(0.0, 1.0), (-1.0, 0.0)], (0.5,)),
+        ([(math.pi, 0.5)], [(-1.0, 0.0), (-1.0, -0.0), (1.0, 0.0)], (0.5,)),
+        ([(0.0, math.pi)], [(0.0, -1.0)], (0.5,)),
+    ]
+    for caps, dirs, alphas in sets:
+        S = ge.CapSet(tuple(((math.cos(a), math.sin(a)), rad) for a, rad in caps), 2)
+        arcs = [(mp.atan2(c[1], c[0]) - rad, mp.atan2(c[1], c[0]) + rad)
+                for c, rad in S.caps]
+        X = [(50.0, 3.0), (0.0, 0.0)] + [
+            (r * ux, r * uy) for ux, uy in dirs
+            for dist in (1e-8, 1e-6, 1e-3, 0.02, 0.5, 3.0)
+            for r in (1.0 + dist, 1.0 - dist) if r > 0.0]
+        for alpha in alphas:
+            vals = pot.sphere_harmonic_many(S, np.array(X), StableParams(alpha, 2))
+            for x, val in zip(X, vals):
+                assert val == pytest.approx(_mp_arc_harmonic(mp, arcs, x, alpha),
+                                            rel=1e-12), (caps, x, alpha)
+
+
+def test_plane_harmonic_d2_graded_rule_oracle():
+    # the segment [-1, 1] at heights 1e-8 ... 0.4, the foot of x inside it,
+    # at an end and outside it
+    mp = pytest.importorskip("mpmath")
+    p = StableParams(0.5, 2)
+    D = ge.PlanarSet.box((0.0, 1.0), (-1.0,), (1.0,))
+    for eta in (1e-8, 1e-3, 0.4):
+        for u in (0.3, -0.999, 1.0, 1.7, -1.2):
+            with mp.workdps(30):
+                cuts = {mp.mpf(-1), mp.mpf(1)} | {
+                    u + s * mp.mpf(10) ** -k for k in range(12) for s in (-1, 1)}
+                oracle = mp.quad(lambda t: ((t - u) ** 2 + mp.mpf(eta) ** 2) ** -0.75,
+                                 sorted(c for c in cuts if -1 <= c <= 1))
+            assert pot.plane_harmonic(D, (u, eta), p) == pytest.approx(
+                float(oracle), rel=1e-12), (eta, u)
+
+
+def test_sphere_harmonic_batch_independence():
+    # rows are padded to the panel count of the batch: a point next to the
+    # set must not change the value at a far one; a NaN row gives NaN
+    p = StableParams(0.5, 2)
+    S = ge.CapSet.single((1.0, 0.0), math.pi / 2)
+    alone = pot.sphere_harmonic(S, (2.0, 0.0), p)
+    batch = pot.sphere_harmonic_many(
+        S, np.array([[1.0 + 1e-8, 0.0], [2.0, 0.0], [np.nan, 0.0]]), p)
+    assert batch[1] == pytest.approx(alone, rel=1e-14)
+    assert np.isnan(batch[2])
+
+
 def test_sphere_harmonic_continuity():
     p = StableParams(0.5, 2)
     S = ge.CapSet.single((1.0, 0.0), 1.0)

@@ -33,39 +33,6 @@ def test_ln_gamma_domain():
         sf.ln_gamma(-1.3)
 
 
-def _digamma_series_oracle(x: float, terms: int = 2_000_000) -> float:
-    # psi(x) = -gamma + sum_k (1/(k+1) - 1/(k+x)); partial sums with tail fix
-    k = np.arange(terms, dtype=float)
-    s = np.sum(1.0 / (k + 1.0) - 1.0 / (k + x))
-    tail = (1.0 - x) / (terms + 0.5)  # integral tail estimate
-    return -sf.EULER_GAMMA + s + tail
-
-
-def test_digamma_euler_mascheroni():
-    # independent series oracle evaluated first, then frozen comparison
-    oracle = _digamma_series_oracle(1.0)
-    assert oracle == pytest.approx(-sf.EULER_GAMMA, abs=1e-9)
-    assert sf.digamma(1.0) == pytest.approx(-sf.EULER_GAMMA, abs=1e-14)
-    assert sf.digamma(2.0) == pytest.approx(1.0 - sf.EULER_GAMMA, abs=1e-14)
-
-
-def test_digamma_recurrence_and_grid():
-    assert sf.digamma(2.7) - sf.digamma(1.7) == pytest.approx(1.0 / 1.7, abs=1e-13)
-    for x in np.geomspace(1e-3, 50.0, 40):
-        assert abs(sf.digamma(float(x)) - float(mp.digamma(float(x)))) < 1e-12
-
-
-def test_digamma_domain():
-    with pytest.raises(ValueError):
-        sf.digamma(-0.5)
-
-
-@given(st.floats(min_value=0.05, max_value=40.0))
-@settings(max_examples=50, deadline=None)
-def test_digamma_recurrence_property(x):
-    assert sf.digamma(x + 1.0) - sf.digamma(x) == pytest.approx(1.0 / x, rel=1e-10)
-
-
 # -- 2F1 ----------------------------------------------------------------------
 
 def test_2f1_empty_sum():
