@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
@@ -7,7 +8,7 @@ from scipy.integrate import dblquad, quad
 from stablecond import geometry as ge
 from stablecond import potential as pot
 from stablecond.potential import StableParams
-from stablecond.specfun import gamma_ratio
+from stablecond.specfun import ConvergenceError, gamma_ratio
 
 
 # -- StableParams / ConstantTable ----------------------------------------------
@@ -420,6 +421,15 @@ def test_shell_potential_next_to_the_edges():
         assert near == pytest.approx(ref, abs=1e-9), edge
 
 
+def test_log_series_sums_raise_past_their_reach():
+    # the alpha = 1 shell potential sums these series up to w of about 0.71;
+    # next to w = 1, 10,000 terms fall short of the sum
+    gp, _ = pot._log_series_sums(0.5, 0.5, [0.71])
+    assert gp[0] == pytest.approx(float(mp.hyp2f1(0.5, 0.5, 1, 0.71)), rel=1e-14)
+    with pytest.raises(ConvergenceError):
+        pot._log_series_sums(0.5, 0.5, [0.5, 0.9999])
+
+
 def test_shell_potential_domain():
     p = StableParams(0.5, 2)
     with pytest.raises(ValueError):
@@ -474,23 +484,79 @@ def test_riesz_ball_integral_vs_dblquad():
     assert val == pytest.approx(oracle, rel=1e-8)
 
 
+def _riesz_ball_polar(b, radius, alpha, d):
+    # 40-digit oracle in polar coordinates about the point: with rho_in and
+    # rho_out where the ray at angle t from the direction to the centre
+    # enters and leaves the ball, U = |S^(d-2)| / alpha
+    # int_0^pi (rho_out^alpha - rho_in^alpha) sin^(d-2) t dt; the short
+    # chord is written as (R^2 - b^2) / (long chord) to avoid cancellation
+    with mp.workdps(40):
+        b, R, a = mp.mpf(b), mp.mpf(radius), mp.mpf(alpha)
+        area = 2 * mp.pi ** (mp.mpf(d - 1) / 2) / mp.gamma(mp.mpf(d - 1) / 2)
+
+        def parts(t):
+            return b * mp.cos(t), mp.sqrt(max(R * R - (b * mp.sin(t)) ** 2, 0))
+
+        if b <= R:
+            def f(t):
+                c, h = parts(t)
+                rho = (R * R - b * b) / (h + c) if c > 0 else h - c
+                return rho ** a * mp.sin(t) ** (d - 2)
+            val = mp.quad(f, [0, mp.pi / 2, mp.pi])
+        else:
+            top = mp.asin(R / b)
+
+            def f(t):
+                c, h = parts(t)
+                return ((c + h) ** a - ((b * b - R * R) / (c + h)) ** a) \
+                    * mp.sin(t) ** (d - 2)
+            val = mp.quad(f, [0, top / 2, top])
+        return float(area * val / a)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_riesz_ball_integral_polar_oracle(d):
+    # the centre, next to it, inside, both sides of the boundary and on it,
+    # and outside; at radius 1.7, where b / R rounds, the floats next to R
+    r = 1.7
+    cases = [(b, 1.0) for b in (0.0, 1e-9, 0.3, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 3.0)] \
+        + [(b, r) for b in (r * (1.0 - 1e-12), math.nextafter(r, 0.0), r,
+                            math.nextafter(r, 2.0), r * (1.0 + 1e-12))]
+    for alpha in (0.05, 0.5, 1.0, 1.5, 1.9):
+        p = StableParams(alpha, d)
+        for b, radius in cases:
+            assert pot.riesz_ball_integral(b, radius, p) == pytest.approx(
+                _riesz_ball_polar(b, radius, alpha, d), rel=1e-12), (alpha, b, radius)
+
+
 def test_riesz_ball_integral_inside():
-    # singular case: evaluation point inside the ball
     p = StableParams(0.5, 2)
     val = pot.riesz_ball_integral(0.2, 0.5, p)
-    oracle, _ = dblquad(
-        lambda r, t: r * (0.04 + r * r - 0.4 * r * math.cos(t)) ** -0.75,
-        0.0, 2 * math.pi, 0.0, 0.5, epsabs=1e-11, epsrel=1e-9)
-    assert val == pytest.approx(oracle, rel=1e-6)
+    assert val == pytest.approx(_riesz_ball_polar(0.2, 0.5, 0.5, 2), rel=1e-12)
 
 
 def test_riesz_ball_integral_finite_next_to_z_one():
-    # the kernel's 2F1 is evaluated within 1e-14 of z = 1 here, where
-    # scipy's hyp2f1 returns inf; the value was 35.2505... when recorded
+    # a benchmark theory draw with b much smaller than R; the value is the
+    # 40-digit polar oracle's
     p = StableParams(0.19791583150283087, 2)
     val = pot.riesz_ball_integral(0.0012230457735780131, 1.6971758963259707, p)
-    assert math.isfinite(val)
-    assert val == pytest.approx(35.2505, rel=1e-5)
+    assert val == pytest.approx(35.250549758675933, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_riesz_ball_integral_sweep_finite():
+    # the ranges of the benchmark's theory draws, and the boundary edges
+    rng = np.random.default_rng(11)
+    alphas = rng.uniform(0.05, 0.95, 2000)
+    alphas[::4] = rng.choice([1.0, 1.5, 1.9], 500)
+    cases = [(alpha, int(rng.integers(2, 4)), rng.uniform(0.0, 3.0),
+              rng.uniform(0.5, 2.0)) for alpha in alphas]
+    for alpha, d, _, radius in cases[:200]:
+        cases += [(alpha, d, b, radius) for b in
+                  (0.0, radius, radius * (1.0 - 2.0 ** -52), radius * (1.0 + 2.0 ** -52))]
+    for alpha, d, b, radius in cases:
+        val = pot.riesz_ball_integral(b, radius, StableParams(alpha, d))
+        assert math.isfinite(val) and val > 0.0, (alpha, d, b, radius)
 
 
 # -- far-field re-entry ---------------------------------------------------------------
