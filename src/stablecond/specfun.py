@@ -170,11 +170,10 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     Arguments z < -1 are evaluated through the analytic extension.
     Accuracy degrades when c-a-b (or, for z < -1, b-a) is within about
     1e-5 of a nonzero integer; exact integer cases take the logarithmic
-    branch and are fine.  Not ``scipy.special.hyp2f1`` (scipy 1.17): within
-    1e-14 of z = 1 it returns inf for the c-a-b = alpha-1 2F1 of
-    ``full_sphere_harmonic_closed``, and on the c-a-b = alpha 2F1 of the Riesz
-    ball potential's closed form (1-z from 0.5 to 1e-16) it is up to 0.28 off
-    where this is within 1e-14 of mpmath.
+    branch and are fine.  It does not delegate to ``scipy.special.hyp2f1``
+    (scipy 1.17), which within 1e-14 of z = 1 returns inf for c-a-b <= 0
+    and is off by about 1e-3 for c-a-b > 0, where ``riesz_ball_integral``
+    evaluates the kernel.
     """
     if _is_nonpos_int(c):
         raise ValueError(f"2F1 undefined for non-positive integer c={c}")

@@ -83,9 +83,9 @@ def test_2f1_against_mpmath_all_branches():
 
 
 def test_2f1_riesz_kernel_next_to_one():
-    # the 2F1 that full_sphere_harmonic_closed evaluates, c - a - b =
-    # alpha - 1, within 1e-13 of z = 1 (scipy 1.17's hyp2f1 returns inf
-    # there for alpha <= 1 and is about 1e-3 off above)
+    # the 2F1 of the Riesz ball kernel, c - a - b = alpha - 1, within 1e-13
+    # of z = 1 (scipy 1.17's hyp2f1 returns inf there for alpha <= 1 and is
+    # about 1e-3 off above)
     for alpha in (0.1, 0.198, 1.0, 1.209):
         for d in (2, 3, 4, 6):
             a, b, c = (d - alpha) / 2.0, 1.0 - alpha / 2.0, d / 2.0
@@ -95,23 +95,6 @@ def test_2f1_riesz_kernel_next_to_one():
                     ref = float(mp.hyp2f1(a, b, c, mp.mpf(z)))
                 assert sf.gauss_2f1(a, b, c, z) == pytest.approx(ref, rel=1e-10), \
                     (alpha, d, w)
-
-
-def test_2f1_riesz_ball_closed_form_next_to_one():
-    # the two 2F1 of the Riesz ball potential's closed form before Pfaff's
-    # transformation, c - a - b = alpha, from 1 - z = 0.5 to 1e-16 (scipy
-    # 1.17's hyp2f1 is up to 0.28 off on these 512 points)
-    for alpha in np.linspace(0.05, 1.9, 8):
-        for d in (2, 3, 4, 6):
-            nu = (d - alpha) / 2.0
-            for a, b, c in ((nu, -alpha / 2.0, d / 2.0),
-                            (nu, 1.0 - alpha / 2.0, d / 2.0 + 1.0)):
-                for w in np.logspace(math.log10(0.5), -16.0, 8):
-                    z = 1.0 - w
-                    with mp.workdps(30):
-                        ref = float(mp.hyp2f1(a, b, c, mp.mpf(z)))
-                    assert sf.gauss_2f1(a, b, c, z) == pytest.approx(ref, rel=1e-12), \
-                        (alpha, d, c, w)
 
 
 def test_2f1_integer_excess_branches():
