@@ -145,6 +145,37 @@ def martingale_check(p: StableParams, S: geo.CapSet, x0, t: float,
 
 # -- hitting experiment ------------------------------------------------------
 
+def _hit_stop(stop_target, monitor_target, r_far, hit_stop, hit_mon,
+              first_in_stop):
+    """The stop callback of a hitting block.  A path freezes at its first
+    position in the stop target or beyond r_far; ``hit_stop`` marks the
+    paths that freeze in the stop target, ``hit_mon`` those whose first
+    monitor entry comes at or before their freeze, and ``first_in_stop``
+    whether that entry lies in the stop target."""
+    def stop(k, alive, X):
+        K, live = X.shape[:2]
+        P = X.reshape(-1, X.shape[2])
+        r = geo.row_norms(P)
+        # one norm per position serves the far field and both targets
+        inside = geo.in_target_normed(P, stop_target, r)
+        cols, offs = sim.first_true((inside | (r > r_far)).reshape(K, live))
+        if monitor_target is not None:
+            mcols, moffs = sim.first_true(
+                geo.in_target_normed(P, monitor_target, r).reshape(K, live))
+            if mcols.size:
+                # the first monitor entry, if it comes at or before the stop
+                first = np.full(live, K)
+                first[cols] = offs
+                j = (moffs <= first[mcols]) & ~hit_mon[alive[mcols]]
+                mcols, moffs = mcols[j], moffs[j]
+                hit_mon[alive[mcols]] = True
+                first_in_stop[alive[mcols]] = inside[moffs * live + mcols]
+        hit_stop[alive[cols[inside[offs * live + cols]]]] = True
+        return cols, offs
+
+    return stop
+
+
 def _hit_block(b: int, sizes, seed, level, p, stop_target, monitor_target,
                x0, h, n_steps, r_far):
     """One path block.  Paths stop on the stop target (or far field /
@@ -161,22 +192,8 @@ def _hit_block(b: int, sizes, seed, level, p, stop_target, monitor_target,
     hit_mon = np.full(m, monitor_target is not None
                       and geo.in_target(x0, monitor_target))
     first_in_stop = np.zeros(m, dtype=bool)
-
-    def stop(k, alive, X):
-        inside = sim.per_point(geo.in_target_many, X, stop_target)
-        first = sim.first_true(inside | (sim.per_point(geo.row_norms, X) > r_far))
-        if monitor_target is not None:
-            # the first monitor entry, if it comes at or before the stop
-            entry = sim.first_true(
-                sim.per_point(geo.in_target_many, X, monitor_target))
-            j = np.flatnonzero((entry < len(X)) & (entry <= first)
-                               & ~hit_mon[alive])
-            hit_mon[alive[j]] = True
-            first_in_stop[alive[j]] = inside[entry[j], j]
-        j = np.flatnonzero(first < len(X))
-        hit_stop[alive[j[inside[first[j], j]]]] = True
-        return first
-
+    stop = _hit_stop(stop_target, monitor_target, r_far, hit_stop, hit_mon,
+                     first_in_stop)
     alive = sim.run_paths(p, x, h, n_steps, rng, stop)
     return (int(hit_stop.sum()), int(hit_mon.sum()),
             int(first_in_stop.sum()), int(alive.size))
@@ -523,12 +540,14 @@ def _occupation_block(b, sizes, seed, p, x0, center, radius, h,
     cen = np.asarray(center, dtype=float)
 
     def stop(k, alive, X):
-        first = sim.first_true(~(sim.per_point(geo.row_norms, X) <= r_far))
+        cols, offs = sim.first_true(~(sim.per_point(geo.row_norms, X) <= r_far))
         # the steps up to the freeze step, that one included
+        first = np.full(alive.size, len(X))
+        first[cols] = offs
         upto = np.arange(len(X))[:, None] <= first
         inb = sim.per_point(geo.row_norms, X - cen) <= radius
         occ[alive] += h * np.count_nonzero(inb & upto, axis=0)
-        return first
+        return cols, offs
 
     sim.run_paths(p, x, h, n_steps, rng, stop)
     return float(occ.sum()), float((occ ** 2).sum())
@@ -567,10 +586,9 @@ def _reversal_block(b, sizes, seed, p, S, r_exit, h, n_steps, r_far,
 
     def stop(k, alive, X):
         pos[alive, k:k + len(X)] = X.transpose(1, 0, 2)
-        first = sim.first_true(sim.per_point(geo.row_norms, X) > r_far)
-        j = np.flatnonzero(first < len(X))
-        end[alive[j]] = k + first[j]
-        return first
+        cols, offs = sim.first_true(sim.per_point(geo.row_norms, X) > r_far)
+        end[alive[cols]] = k + offs
+        return cols, offs
 
     # paths live at the end reached the horizon before the far field
     truncated = int(sim.run_paths(p, x, h, n_steps, rng, stop).size)

@@ -450,16 +450,20 @@ def row_norms(X: np.ndarray) -> np.ndarray:
 
 
 def in_target_many(X: np.ndarray, T: Target) -> np.ndarray:
-    """Vectorised membership of points X (n, d) in the thickened target.
+    """Vectorised membership of points X (n, d) in the thickened target."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return in_target_normed(X, T, row_norms(X))
+
+
+def in_target_normed(X: np.ndarray, T: Target, r: np.ndarray) -> np.ndarray:
+    """Membership of points X (n, d) in T, given their norms r = row_norms(X).
 
     The cheap coordinate is tested first, the radius of a shell point or
     the height of a slab point; the distance within the set is computed
-    only for the points that pass it.
+    only for the points that pass it.  A slab ignores r.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     out = np.zeros(len(X), dtype=bool)
     if T.kind == "shell":
-        r = row_norms(X)
         idx = np.flatnonzero((r >= 1.0 - T.eps) & (r <= 1.0 + T.eps) & (r > 0.0))
         if idx.size:
             ang = angular_distance_many(T.sphere_set, X[idx] / r[idx, None])

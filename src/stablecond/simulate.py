@@ -50,7 +50,7 @@ def sample_positive_stable(beta: float, rng: np.random.Generator,
     # / sin(u))^(1/(1-beta)) / e, raised to (1-beta)/beta
     u = rng.random(size)
     u *= math.pi
-    e = rng.exponential(1.0, size)
+    e = rng.standard_exponential(size)
     a = np.multiply(u, beta)
     np.sin(a, out=a)
     a **= beta
@@ -99,9 +99,16 @@ def per_point(fn, X: np.ndarray, *args) -> np.ndarray:
     return fn(X.reshape(-1, X.shape[2]), *args).reshape(X.shape[:2])
 
 
-def first_true(mask: np.ndarray) -> np.ndarray:
-    """Per column of a (K, m) mask, the first row that is True, or K."""
-    return np.where(mask.any(axis=0), mask.argmax(axis=0), mask.shape[0])
+def first_true(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of a (K, m) mask that hold a True, in ascending order,
+    and per such column the first row that is True: (columns, offsets)."""
+    K, m = mask.shape
+    flat = np.flatnonzero(mask)
+    if K == 1:
+        return flat, np.zeros(flat.size, dtype=np.intp)
+    # flat is ordered by row, so a column's first entry holds its first row
+    cols, first = np.unique(flat % m, return_index=True)
+    return cols, flat[first] // m
 
 
 def run_paths(p: StableParams, x: np.ndarray, h: float, n_steps: int,
@@ -116,12 +123,14 @@ def run_paths(p: StableParams, x: np.ndarray, h: float, n_steps: int,
     live positions at steps k, ..., k + K - 1.  The engine then calls
     ``stop(k, alive, X)``: ``alive`` holds the indices into ``x`` of the
     columns of ``X``.  The callback records what its experiment observes
-    up to each path's freeze step and returns, per live path, the offset
-    in [0, K) of the step that freezes it, or K if it stays live (see
-    ``first_true``).  A frozen path's position at its freeze step is
-    written back to ``x`` and it draws nothing more.  The loop ends at the
-    horizon or when no path is live, and the live positions are written
-    back.  Returns the indices of the paths still live after the last step.
+    up to each path's freeze step and returns only the paths that freeze
+    in the round, as (columns, offsets): the columns of ``X``, in
+    ascending order, and for each the offset in [0, K) of the step that
+    freezes it (see ``first_true``).  A frozen path's position at its
+    freeze step is written back to ``x`` and it draws nothing more.  The
+    loop ends at the horizon or when no path is live, and the live
+    positions are written back.  Returns the indices of the paths still
+    live after the last step.
     """
     alive = np.arange(len(x))
     xl = x.copy()
@@ -130,15 +139,18 @@ def run_paths(p: StableParams, x: np.ndarray, h: float, n_steps: int,
         K = min(len(x) // alive.size, n_steps - k + 1)
         X = sample_increment(p, h, rng, K * alive.size).reshape(K, alive.size, -1)
         X[0] += xl
-        np.cumsum(X, axis=0, out=X)
-        first = stop(k, alive, X)
-        keep = first == K
-        if not keep.all():
-            gone = np.flatnonzero(~keep)
-            x[alive[gone]] = X[first[gone], gone]
+        if K > 1:
+            np.cumsum(X, axis=0, out=X)
+        cols, offs = stop(k, alive, X)
+        xl = X[-1]
+        if cols.size:
+            x[alive[cols]] = X[offs, cols]
+            keep = np.ones(alive.size, dtype=bool)
+            keep[cols] = False
             alive = alive[keep]
-        xl = X[-1, keep]
+            # compress, not xl[keep]: numpy's boolean indexing of rows
+            # costs several times more than the copy itself
+            xl = xl.compress(keep, axis=0)
         k += K
     x[alive] = xl
     return alive
-

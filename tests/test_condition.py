@@ -222,6 +222,99 @@ def test_scaled_sanity_envelope():
         assert 0.0 < est["scaled"] < 10.0 * rep["theory"]["value"]
 
 
+def _dense_hit_stop(stop_target, monitor_target, r_far, hit_stop, hit_mon,
+                    first_in_stop):
+    """The hitting callback written densely: every position takes the full
+    membership test, and the freeze offset of every live path is returned,
+    K for a path that stays live."""
+    def first_or_K(mask):
+        return np.where(mask.any(axis=0), mask.argmax(axis=0), len(mask))
+
+    def stop(k, alive, X):
+        K = len(X)
+        inside = sim.per_point(ge.in_target_many, X, stop_target)
+        first = first_or_K(inside | (sim.per_point(ge.row_norms, X) > r_far))
+        if monitor_target is not None:
+            entry = first_or_K(sim.per_point(ge.in_target_many, X, monitor_target))
+            j = np.flatnonzero((entry < K) & (entry <= first) & ~hit_mon[alive])
+            hit_mon[alive[j]] = True
+            first_in_stop[alive[j]] = inside[entry[j], j]
+        j = np.flatnonzero(first < K)
+        hit_stop[alive[j[inside[first[j], j]]]] = True
+        return first
+
+    return stop
+
+
+def _hit_positions(rng, kind, eps, r_far, n):
+    """n positions near a shell (d = 2) or a slab in z = 0 (d = 3), some far,
+    plus the edge cases: the band edges, radius 0 and r_far, cap and disk
+    boundaries, and the infinite and NaN rows of an overflowing sampler."""
+    inf, nan = np.inf, np.nan
+    if kind == "shell":
+        t = rng.uniform(-np.pi, np.pi, n)
+        rad = rng.uniform(1.0 - 2 * eps, 1.0 + 2 * eps, n)
+        rad[::5] = rng.uniform(0.9 * r_far, 1.1 * r_far, rad[::5].size)
+        X = rad[:, None] * np.column_stack([np.cos(t), np.sin(t)])
+        edges = [(0.0, 0.0), (1.0 + eps, 0.0), (1.0 - eps, 0.0),
+                 (0.0, -(1.0 + eps)), (-(1.0 - eps), 0.0), (r_far, 0.0),
+                 (0.0, -r_far), (np.nextafter(r_far, inf), 0.0),
+                 (inf, 0.0), (-inf, inf), (inf, nan), (nan, 0.0), (nan, nan)]
+        # on the boundaries of the caps of radius 0.5 and 1 about (1, 0)
+        for ang in (0.5, -0.5, 1.0):
+            for rho in (1.0, 1.0 + eps, 1.0 - eps):
+                edges.append((rho * math.cos(ang), rho * math.sin(ang)))
+    else:
+        X = np.column_stack([rng.uniform(-1.5, 1.5, (n, 2)),
+                             rng.uniform(-2 * eps, 2 * eps, n)])
+        X[::5] *= r_far
+        edges = [(0.0, 0.0, 0.0), (0.5, 0.0, eps), (0.0, -0.5, -eps),
+                 (1.0, 0.0, eps), (0.0, 1.0, -eps), (0.6, 0.8, 0.0),
+                 (0.0, 0.0, r_far), (r_far, 0.0, 0.0),
+                 (np.nextafter(r_far, inf), 0.0, 0.0), (0.0, 0.0, inf),
+                 (inf, -inf, 0.0), (0.0, nan, 0.0), (nan, nan, nan)]
+    X[rng.choice(n, len(edges), replace=False)] = edges
+    return X
+
+
+def test_hit_callback_matches_dense_membership():
+    # the callback freezes and classifies exactly like the full test
+    # in_target_many(X, T) | (row_norms(X) > r_far) on every position
+    eps, r_far = 0.05, 4.0
+    shell_cases = [(ge.shell(ge.CapSet.single((1.0, 0.0), 0.5), eps), None),
+                   (ge.shell(ge.CapSet.single((1.0, 0.0), 0.5), eps),
+                    ge.shell(ge.CapSet.single((1.0, 0.0), 1.0), eps)),
+                   (ge.shell(FULL, eps), ge.shell(QUARTER, eps))]
+    slab_cases = [(ge.slab(ge.PlanarSet.ball((0.0, 0.0, 1.0), (0.0, 0.0), 0.5), eps),
+                   ge.slab(ge.PlanarSet.ball((0.0, 0.0, 1.0), (0.0, 0.0), 1.0), eps))]
+    rng = np.random.default_rng(41)
+    totals = np.zeros(4, dtype=int)
+    for kind, cases in (("shell", shell_cases), ("slab", slab_cases)):
+        for stop_target, monitor_target in cases:
+            for K in (1, 2, 6):
+                m, live = 150, 60
+                alive = np.sort(rng.choice(m, live, replace=False))
+                X = _hit_positions(rng, kind, eps, r_far, K * live)
+                X = X.reshape(K, live, -1)
+                start = (np.zeros(m, bool), rng.random(m) < 0.2, np.zeros(m, bool))
+                ref = tuple(a.copy() for a in start)
+                got = tuple(a.copy() for a in start)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    first = _dense_hit_stop(stop_target, monitor_target,
+                                            r_far, *ref)(1, alive, X)
+                    cols, offs = cond._hit_stop(stop_target, monitor_target,
+                                                r_far, *got)(1, alive, X)
+                assert np.array_equal(cols, np.flatnonzero(first < K))
+                assert np.array_equal(offs, first[cols])
+                for a, b in zip(got, ref):
+                    assert np.array_equal(a, b)
+                totals += [cols.size, ref[0].sum(), ref[1].sum() - start[1].sum(),
+                           ref[2].sum()]
+    # the positions freeze paths, hit the stop target, and enter the monitor
+    # both inside and outside the stop target
+    assert (totals > 0).all()
+
+
 def test_random_streams_pinned():
     # integer counts of small seeded runs: every change that keeps the
     # random streams keeps them; a deliberate change of streams updates

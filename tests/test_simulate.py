@@ -44,6 +44,14 @@ def test_positive_stable_domain():
         sim.sample_positive_stable(1.0, rng, 1)
 
 
+def test_standard_exponential_matches_unit_scale_exponential():
+    # the sampler draws E with standard_exponential: the values and the
+    # stream state after them are those of exponential(1.0, size)
+    a, b = sim.rng_for_block(9, 1), sim.rng_for_block(9, 1)
+    assert np.array_equal(a.exponential(1.0, 100_000), b.standard_exponential(100_000))
+    assert np.array_equal(a.random(8), b.random(8))
+
+
 def test_increment_characteristic_function():
     p = StableParams(0.5, 2)
     rng = sim.rng_for_block(4, 0)
@@ -114,6 +122,31 @@ def test_increment_independence_permutation():
     assert (count + 1) / (n_perm + 1) > 0.01
 
 
+def _dense_first_true(mask):
+    """Per column of a (K, m) mask, the first row that is True, or K."""
+    K, m = mask.shape
+    first = np.full(m, K)
+    for j in range(m):
+        rows = np.flatnonzero(mask[:, j])
+        if rows.size:
+            first[j] = rows[0]
+    return first
+
+
+@pytest.mark.parametrize("K", [1, 2, 5])
+def test_first_true_matches_dense_definition(K):
+    rng = np.random.default_rng(K)
+    for density in (0.0, 0.02, 0.3, 1.0):
+        mask = rng.random((K, 400)) < density
+        mask[:, 7] = False    # a column with no True
+        mask[:, 11] = True    # a column that is all True
+        cols, offs = sim.first_true(mask)
+        first = _dense_first_true(mask)
+        assert np.array_equal(cols, np.flatnonzero(first < K))
+        assert np.array_equal(offs, first[cols])
+        assert cols.dtype.kind == offs.dtype.kind == "i"
+
+
 def _hit_run(p, x0, h, n_steps, T, rng, m=1, r_far=50.0):
     """m paths from x0, each frozen on entering T or leaving B(0, r_far):
     (hit mask, positions, indices live at the horizon)."""
@@ -122,11 +155,10 @@ def _hit_run(p, x0, h, n_steps, T, rng, m=1, r_far=50.0):
 
     def stop(k, alive, X):
         inside = sim.per_point(ge.in_target_many, X, T)
-        first = sim.first_true(
+        cols, offs = sim.first_true(
             inside | (np.linalg.norm(X, axis=2) > r_far))
-        j = np.flatnonzero(first < len(X))
-        hit[alive[j[inside[first[j], j]]]] = True
-        return first
+        hit[alive[cols[inside[offs, cols]]]] = True
+        return cols, offs
 
     return hit, x, sim.run_paths(p, x, h, n_steps, rng, stop)
 
@@ -149,10 +181,9 @@ def test_run_paths_trivial_cases(monkeypatch):
 
     def stop(k, alive, X):
         rounds.append(X.shape[0] * alive.size)
-        first = sim.first_true(np.linalg.norm(X, axis=2) > 3.0)
-        j = np.flatnonzero(first < len(X))
-        frozen_at[alive[j]] = k + first[j]
-        return first
+        cols, offs = sim.first_true(np.linalg.norm(X, axis=2) > 3.0)
+        frozen_at[alive[cols]] = k + offs
+        return cols, offs
 
     live = sim.run_paths(p, x, 0.05, 40, sim.rng_for_block(2, 0), stop)
     assert 0 < live.size < 200
