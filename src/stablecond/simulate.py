@@ -1,8 +1,9 @@
 """Isotropic stable paths on a time grid.
 
-Increments are exactly isotropic: a Gaussian vector evaluated at an
-independent positive-stable subordinator time, so that one step of
-length h has characteristic function exp(-h |theta|^alpha) for every h.
+Increments are exactly isotropic: a Gaussian vector at an independent
+positive-stable subordinator time (Kanter's, drawn in logarithms with
+numpy's SIMD float64 tan, log and exp), so that one step of length h has
+characteristic function exp(-h |theta|^alpha) for every h.
 Every experiment steps its paths in blocks through ``run_paths``, in
 rounds of several steps per live path, with a stop callback that records
 what the experiment observes and says at which step each path freezes.
@@ -36,50 +37,50 @@ def rng_for_block(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def sample_positive_stable(beta: float, rng: np.random.Generator,
-                           size: int) -> np.ndarray:
-    """``size`` positive stable draws S with E exp(-lam S) = exp(-lam^beta).
+def _log_positive_stable(beta: float, rng: np.random.Generator,
+                         size: int) -> np.ndarray:
+    """log S for ``size`` draws S > 0 with E exp(-lam S) = exp(-lam^beta).
 
-    Kanter's representation: S = (a(U)/E)^((1-beta)/beta) with U uniform
-    on (0, pi) and E unit exponential.
+    Kanter: S = (a(U)/E)^((1-beta)/beta), U uniform on (0, pi), E unit
+    exponential, a(u)^(1-beta) = sin(beta u)^beta sin((1-beta) u)^(1-beta)
+    / sin u.  With s_a, s_b, s_c the sines of beta U, (1-beta) U and U,
+    log S = log(s_a / s_c) + (1-beta)/beta log(s_b / (s_c E)), and a sine
+    is 2 / (t + 1/t) for t the tan of the half angle: no power overflows.
     """
     if not 0.0 < beta < 1.0:
-        raise ValueError("sample_positive_stable requires beta in (0, 1)")
-    # in place; the same operations in the same order as
-    # u = uniform(0, pi); (sin(beta u)^beta sin((1-beta) u)^(1-beta)
-    # / sin(u))^(1/(1-beta)) / e, raised to (1-beta)/beta
-    u = rng.random(size)
-    u *= math.pi
+        raise ValueError("_log_positive_stable requires beta in (0, 1)")
+    v = rng.random(size)
+    v *= 0.5 * math.pi            # U / 2
     e = rng.standard_exponential(size)
-    a = np.multiply(u, beta)
-    np.sin(a, out=a)
-    a **= beta
-    b = np.multiply(u, 1.0 - beta)
-    np.sin(b, out=b)
-    b **= 1.0 - beta
-    a *= b
-    np.sin(u, out=u)
-    a /= u
-    a **= 1.0 / (1.0 - beta)
-    a /= e
-    a **= (1.0 - beta) / beta
-    return a
+    wa = np.multiply(v, beta)
+    wb = np.multiply(v, 1.0 - beta)
+    for w in (wa, wb, v):
+        np.tan(w, out=w)
+        w += np.reciprocal(w)     # 2 / sin of twice the angle
+    wb *= e
+    np.divide(v, wb, out=wb)      # s_b / (s_c E)
+    np.divide(v, wa, out=wa)      # s_a / s_c
+    np.log(wa, out=wa)
+    np.log(wb, out=wb)
+    wb *= (1.0 - beta) / beta
+    wa += wb
+    return wa
 
 
 def sample_increment(p: StableParams, h: float, rng: np.random.Generator,
                      size: int) -> np.ndarray:
-    """``size`` increments (size, d) of the stable process over one step
-    of length h.
+    """``size`` increments (size, d) of the stable process over a step h.
 
-    E exp(i theta . Delta) = exp(-h |theta|^alpha): a N(0, 2 S I_d) draw
-    with S a positive alpha/2-stable subordinator time scaled by h^(2/alpha).
+    E exp(i theta . Delta) = exp(-h |theta|^alpha): N(0, 2 S I_d) with S
+    the alpha/2-stable time of ``_log_positive_stable`` scaled by h^(2/alpha),
+    the scale sqrt(2 h^(2/alpha) S) taken as one exp of its logarithm.
     """
     if h <= 0.0:
         raise ValueError("step h must be positive")
-    s = sample_positive_stable(p.alpha / 2.0, rng, size)
-    s *= h ** (2.0 / p.alpha)
-    s *= 2.0
-    np.sqrt(s, out=s)
+    s = _log_positive_stable(p.alpha / 2.0, rng, size)
+    s *= 0.5
+    s += 0.5 * math.log(2.0) + math.log(h) / p.alpha
+    np.exp(s, out=s)
     z = rng.standard_normal((size, p.d))
     z *= s[:, None]
     return z
@@ -128,9 +129,8 @@ def run_paths(p: StableParams, x: np.ndarray, h: float, n_steps: int,
     ascending order, and for each the offset in [0, K) of the step that
     freezes it (see ``first_true``).  A frozen path's position at its
     freeze step is written back to ``x`` and it draws nothing more.  The
-    loop ends at the horizon or when no path is live, and the live
-    positions are written back.  Returns the indices of the paths still
-    live after the last step.
+    loop ends at the horizon or when no path is live; it writes back the
+    live positions and returns their indices.
     """
     alive = np.arange(len(x))
     xl = x.copy()

@@ -284,13 +284,13 @@ PINS = {
         "report.csv": "19b2033a59f77b127de3347012fa9d3077a9a891f2d9415603a338ce9ea1523d",
         "plot.dat": "cf5b403d4da1aafae8250eb813f39ef415895ac91098e3bfcadfaa191d791730"}),
     "duality": (0, {
-        "report.json": "94cd363eb4dd88d3c1f34046e991f8c646b3840aa5f46a9f718f2973ac7244ef",
-        "report.csv": "a4c2bd17846eb077affd2d2b6fe86c35d50c8ee42bb380e7536e0946c44b6607",
-        "plot.dat": "adc2a8cc0b9a04ec203d279440dd4d023392aa04db11f11fde793db84089c057"}),
+        "report.json": "aeb8b429fdc4ebda5c38be4b0706f66163278851c42847e723f63b5f0f9d4efd",
+        "report.csv": "a6e01e456bceceefb90ae5f3a7f2bc86bae44c2244d4a8c2ce445a0d972e0a45",
+        "plot.dat": "92ddca6b2180c1d132c77949762dbcc4cee53eeb691b6a64915fcff264e9126a"}),
     "reversal": (0, {
-        "report.json": "2b2f4938031d0317a18cb1571a02f7f24ccb7f3c747cff947cba76a11c1fc185",
-        "report.csv": "7c8c110d96d3571cbbc7a77ba3332709aeb8cf74260a98aad9c2c7a118b6b218",
-        "plot.dat": "cbb05d455a76f3d8622a5cd23b942db4b337226b3e449e46a1d9b1978f5164d2"}),
+        "report.json": "a89767aadbfdaee5eb3032ef3a216ab4f18327019e39fe450d31a079260e95f8",
+        "report.csv": "11bb057848bfad63e4b9d1069f843f4aed11f19f3a784930b381c7c0b1c4409c",
+        "plot.dat": "0a1f792a837584059f5434c4a537b74221ef9f0dfc7883207f4338c37c30230f"}),
 }
 
 
