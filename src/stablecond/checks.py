@@ -228,8 +228,8 @@ def check_full_sphere_closed_form() -> CheckResult:
         hq = pot.sphere_harmonic(geo.CapSet.full_sphere(d), x, p)
         hc = pot.full_sphere_harmonic_closed(r, p)
         worst = max(worst, abs(hq - hc) / hc)
-    return CheckResult("full-sphere closed form", worst <= 1e-6,
-                       f"max rel err = {worst:.2e} (tol 1e-06)")
+    return CheckResult("full-sphere closed form", worst <= 1e-12,
+                       f"max rel err = {worst:.2e} (tol 1e-12)")
 
 
 def check_plane_shell_potential() -> CheckResult:

@@ -3,8 +3,13 @@
 A spherical target is a finite union of closed geodesic caps; a planar
 target is a ball or an axis-aligned box inside the hyperplane orthogonal
 to a given unit vector.  Both carry exact membership tests, surface
-measures under the unit-mass normalisation, quadrature rules and
-boundary samplers.
+measures under the unit-mass normalisation and boundary samplers.
+
+Integrals over a cap union against the surface measure, the harmonic
+weights of ``potential`` in d >= 3 and the surface measure itself, use one
+section rule (``_section_rule``): the colatitude about a pole, weighted by
+the fraction of each section sphere that lies in the union, on graded
+Gauss-Legendre panels.
 """
 
 from __future__ import annotations
@@ -15,9 +20,12 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import special as sc
-from scipy.integrate import quad
 
-_GL_PANEL = 64
+# graded Gauss-Legendre panels (see ``_peak_integrals``; the endpoint rule
+# ``potential.quad_endpoint_singular`` shares them)
+_PANEL_NODES = 20       # Gauss nodes per panel
+_GRADING_RATIO = 0.15   # ratio of neighbouring panel lengths in a graded rule
+_GRADING_LEVELS = 19    # graded panels per half of an endpoint rule
 
 
 @lru_cache(maxsize=32)
@@ -25,21 +33,50 @@ def _leggauss(m: int):
     return np.polynomial.legendre.leggauss(m)
 
 
-def gauss_panels(a: float, b: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule with ~m nodes on [a, b].
+def _peak_integrals(g, w, length):
+    # int_0^L_i g(i, s) ds for every row i, where g peaks a distance w_i
+    # before s = 0 and g(rows, s) takes a slice of rows and their nodes s:
+    # the panel [0, w_i], then panels growing by 1/_GRADING_RATIO up to L_i,
+    # _PANEL_NODES Gauss-Legendre nodes each.  Rows go 4096 at a time, padded
+    # to the largest panel count among them with zero-length panels at L_i
+    out = np.empty(len(w))
+    grow = 1.0 / _GRADING_RATIO
+    gx, gw = _leggauss(_PANEL_NODES)
+    for i in range(0, len(w), 4096):
+        rows = slice(i, i + 4096)
+        wr, lr = np.fmin(w[rows], length[rows]), length[rows]
+        levels = math.ceil(np.log(np.fmax(lr / wr, 1.0)).max() / math.log(grow))
+        edges = np.minimum(wr[:, None] * np.r_[0.0, grow ** np.arange(levels + 1)],
+                           lr[:, None])
+        edges[:, -1] = lr
+        mid = 0.5 * (edges[:, 1:] + edges[:, :-1])[:, :, None]
+        half = 0.5 * (edges[:, 1:] - edges[:, :-1])[:, :, None]
+        s = (mid + half * gx).reshape(len(lr), -1)
+        out[rows] = (g(rows, s) * (half * gw).reshape(len(lr), -1)).sum(axis=1)
+    return out
 
-    Panels of at most 64 nodes keep the cost linear in m (a single
-    high-order rule is quadratic to build).
-    """
-    n_panels = max(1, (m + _GL_PANEL - 1) // _GL_PANEL)
-    per = min(m, _GL_PANEL) if n_panels == 1 else _GL_PANEL
-    xs, ws = _leggauss(per)
-    edges = np.linspace(a, b, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * xs[None, :]).reshape(-1)
-    weights = (half[:, None] * ws[None, :]).reshape(-1)
-    return nodes, weights
+
+def _piece_integrals(ends, g, w0):
+    # int from ends[i, 0] to ends[i, -1] of g(i, t) dt for every row i of the
+    # sorted ends (n, k), where g(points, t) takes a point index per row of t.
+    # Each piece between neighbouring ends is halved, and each half graded
+    # from its end by ``_peak_integrals``: a first panel of
+    # _GRADING_RATIO**_GRADING_LEVELS of the half (as in the endpoint rule),
+    # or at ends[i, 0] the width w0[i] of a peak there if that is wider
+    n, k = ends.shape[0], ends.shape[1] - 1
+    lo, hi = ends[:, :-1].ravel(), ends[:, 1:].ravel()
+    mid = lo + 0.5 * (hi - lo)
+    length = np.concatenate([mid - lo, hi - mid])
+    width = length * _GRADING_RATIO ** _GRADING_LEVELS
+    width[: n * k : k] = np.fmax(w0, width[: n * k : k])
+    start = np.concatenate([lo, hi])
+    sign = np.repeat([1.0, -1.0], n * k)
+    point = np.tile(np.repeat(np.arange(n), k), 2)
+    keep = length > 0.0
+    start, sign, point, width, length = (v[keep] for v in (start, sign, point, width, length))
+    vals = _peak_integrals(lambda i, s: g(point[i], start[i, None] + sign[i, None] * s),
+                           width, length)
+    return np.bincount(point, weights=vals, minlength=n)
 
 
 def unit_vector(v) -> tuple[float, ...]:
@@ -216,22 +253,19 @@ def euclidean_distance_to_shell_many(S: CapSet, X: np.ndarray) -> np.ndarray:
     return np.where(r == 0.0, 1.0, out)
 
 
-# -- surface measure ---------------------------------------------------------
+# -- surface measure and the section rule ----------------------------------
 
 def _sin_power_total(d: int) -> float:
     # int_0^pi sin^{d-2} t dt
     return math.sqrt(math.pi) * math.exp(sc.gammaln((d - 1) / 2.0) - sc.gammaln(d / 2.0))
 
 
-def _cap_measure(radius: float, d: int) -> float:
-    """Normalised surface measure of a single cap of angular radius r."""
-    if radius >= math.pi:
-        return 1.0
+def _cap_measure(radius, d: int):
+    """Normalised surface measure of caps of angular radius r (float or array)."""
     if d == 2:
         return radius / math.pi
-    s2 = math.sin(radius) ** 2
-    half = 0.5 * float(sc.betainc((d - 1) / 2.0, 0.5, s2))
-    return half if radius <= math.pi / 2.0 else 1.0 - half
+    half = 0.5 * sc.betainc((d - 1) / 2.0, 0.5, np.sin(radius) ** 2)
+    return np.where(radius <= math.pi / 2.0, half, 1.0 - half)
 
 
 def _merge_arcs(caps) -> list[tuple[float, float]]:
@@ -266,170 +300,147 @@ def _merge_arcs(caps) -> list[tuple[float, float]]:
     return [tuple(m) for m in merged]
 
 
-def _pairwise_disjoint(caps) -> bool:
-    n = len(caps)
-    for i in range(n):
-        ci, ri = caps[i]
-        for j in range(i + 1, n):
-            cj, rj = caps[j]
-            ang = math.acos(min(1.0, max(-1.0, float(np.dot(ci, cj)))))
-            if ang <= ri + rj:
-                return False
-    return True
+def _frames(E: np.ndarray) -> np.ndarray:
+    # orthonormal bases (n, k-1, k) of the hyperplanes orthogonal to the
+    # rows of E (n, k): the Householder reflection h that maps e_k to E has
+    # its first k - 1 rows in the hyperplane
+    k = E.shape[1]
+    w = E - np.eye(k)[-1]
+    nw = np.linalg.norm(w, axis=1)
+    w /= np.where(nw < 1e-14, np.inf, nw)[:, None]
+    return (np.eye(k) - 2.0 * w[:, :, None] * w[:, None, :])[:, : k - 1]
 
 
-def _section_caps(caps, pole: np.ndarray, t: float):
-    """Cross-section of a cap union at colatitude t from the pole.
-
-    Returns ``None`` when the section is the whole lower-dimensional
-    sphere, else a (possibly empty) list of section caps given as
-    (tangential unit center in ambient coordinates, angular radius).
+def _section_caps(C, R, E):
+    """The caps (centres C (n, m, k), radii R (n, m)) of each row seen from
+    its pole E (n, k) on the unit sphere of R^k: cos a and sin a of each
+    centre's colatitude a (n, m), its direction in a frame of the hyperplane
+    orthogonal to the pole (n, m, k-1; of length sin a), and the sorted
+    colatitudes (n, K) from 0 to pi where the section fraction may kink:
+    where a section touches a cap boundary (|a - R|, a + R, 2 pi - a - R),
+    and the extreme colatitudes of the crossing of two cap boundaries.
     """
-    sections = []
-    st = math.sin(t)
-    for c, r in caps:
-        c = np.asarray(c)
-        ca = min(1.0, max(-1.0, float(np.dot(c, pole))))
-        a = math.acos(ca)
-        sa = math.sin(a)
-        if st < 1e-12:
-            # the section is a single point (pole or antipode)
-            if abs(t - a) <= r + 1e-15:
-                return None
-            continue
-        if sa < 1e-12:
-            # cap centered at the pole or its antipode: section full or empty
-            if abs(t - a) <= r + 1e-15:
-                return None
-            continue
-        mu = (math.cos(r) - math.cos(t) * ca) / (st * sa)
-        if mu >= 1.0:
-            continue  # empty intersection at this colatitude
-        if mu <= -1.0:
-            return None  # covers the whole section circle
-        tang = c - ca * pole
-        tang = tang / np.linalg.norm(tang)
-        sections.append((tuple(tang), math.acos(mu)))
-    return sections
+    ca = np.einsum("nmk,nk->nm", C, E)
+    T = np.einsum("nik,nmk->nmi", _frames(E), C)
+    sa = np.sqrt(np.einsum("nmi,nmi->nm", T, T))
+    a = np.arctan2(sa, ca)
+    cr = np.cos(R)
+    kinks = [np.zeros_like(a), np.abs(a - R), a + R, 2.0 * math.pi - a - R,
+             np.full_like(a, math.pi)]
+    for i in range(C.shape[1]):
+        for j in range(i + 1, C.shape[1]):
+            # the crossing is y = A c_i + B c_j + z v, v any unit vector
+            # orthogonal to c_i and c_j, and z^2 = 1 - |A c_i + B c_j|^2; the
+            # colatitude of y spans A cos a_i + B cos a_j -+ |z| |E_perp|
+            g = np.einsum("nk,nk->n", C[:, i], C[:, j])
+            ok = 1.0 - g * g > 1e-12
+            den = np.where(ok, 1.0 - g * g, 1.0)
+            A = (cr[:, i] - g * cr[:, j]) / den
+            B = (cr[:, j] - g * cr[:, i]) / den
+            z2 = 1.0 - (A * A + B * B + 2.0 * A * B * g)
+            e2 = 1.0 - (ca[:, i] ** 2 + ca[:, j] ** 2 - 2.0 * g * ca[:, i] * ca[:, j]) / den
+            cos_t = (A * ca[:, i] + B * ca[:, j])[:, None] + np.multiply.outer(
+                np.sqrt(np.fmax(z2, 0.0) * np.fmax(e2, 0.0)), [-1.0, 1.0])
+            kinks.append(np.where((ok & (z2 >= 0.0))[:, None],
+                                  np.arccos(np.clip(cos_t, -1.0, 1.0)), math.pi))
+    return ca, sa, T, np.sort(np.clip(np.concatenate(kinks, axis=1), 0.0, math.pi), axis=1)
 
 
-def _union_measure(caps, d: int) -> float:
-    """Normalised measure of a cap union on the sphere of R^d."""
-    if d == 2:
-        arcs = _merge_arcs(caps)
-        return sum(hi - lo for lo, hi in arcs) / (2.0 * math.pi)
-    if len(caps) == 1:
-        return _cap_measure(caps[0][1], d)
-    if _pairwise_disjoint(caps):
-        return sum(_cap_measure(r, d) for _, r in caps)
-    # overlapping union: integrate lower-dimensional sections over colatitude
-    pole = np.asarray(caps[0][0])
-    kinks = sorted({0.0, math.pi} | {
-        v for c, r in caps
-        for a in [math.acos(min(1.0, max(-1.0, float(np.dot(np.asarray(c), pole)))))]
-        for v in (abs(a - r), min(a + r, 2.0 * math.pi - a - r))
-        if 0.0 < v < math.pi})
-    z = _sin_power_total(d)
-    frame = plane_frame(tuple(pole))
+def _arc_union(U, beta):
+    # fraction of the circle in the union of the arcs of half-widths beta
+    # (n, m) about the directions U (n, m, 2): each arc from its start in
+    # [0, 2 pi) and once more a turn earlier, both cut to [0, 2 pi], then
+    # swept as intervals of the line
+    two_pi = 2.0 * math.pi
+    s = np.mod(np.arctan2(U[..., 1], U[..., 0]) - beta, two_pi)
+    s = np.concatenate([s, s - two_pi], axis=-1)
+    e = s + 2.0 * np.concatenate([beta, beta], axis=-1)
+    order = np.argsort(s, axis=-1)
+    s, e = (np.clip(np.take_along_axis(v, order, axis=-1), 0.0, two_pi) for v in (s, e))
+    reach = np.maximum.accumulate(e, axis=-1)
+    gaps = np.fmax(s[..., 1:] - reach[..., :-1], 0.0).sum(axis=-1)
+    return (reach[..., -1] - s[..., 0] - gaps) / two_pi
 
-    def integrand(t):
-        secs = _section_caps(caps, pole, t)
-        if secs is None:
-            inner = 1.0
-        elif not secs:
-            inner = 0.0
-        else:
-            # project tangential centers to the pole-orthogonal frame
-            proj = [(tuple(frame @ np.asarray(c)), r) for c, r in secs]
-            inner = _union_measure(proj, d - 1)
-        return math.sin(t) ** (d - 2) * inner / z
 
-    total = 0.0
-    pts = kinks
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        val, _ = quad(integrand, lo, hi, limit=200, epsabs=1e-11, epsrel=1e-10)
-        total += val
-    return total
+def _section_fraction(T, beta, k: int):
+    """Fraction of the unit sphere of R^k inside the union of the caps of
+    radii beta (rows, nodes, m) about the directions T (rows, m, k).
+
+    One cap's measure, the sum for disjoint caps, and for overlapping ones
+    the merged arcs (k = 2) or ``_section_rule`` one dimension down.
+    """
+    m = beta.shape[-1]
+    if m == 1:
+        return _cap_measure(beta[..., 0], k)
+    full = (beta >= math.pi).any(axis=-1)
+    f = np.where(full, 1.0, _cap_measure(beta, k).sum(axis=-1))
+    norm = np.linalg.norm(T, axis=-1, keepdims=True)
+    U = np.where(norm > 0.0, T / np.where(norm > 0.0, norm, 1.0), np.eye(k)[0])
+    gap = np.arccos(np.clip(np.einsum("rik,rjk->rij", U, U), -1.0, 1.0))
+    i, j = np.triu_indices(m, 1)
+    overlap = (gap[:, i, j][:, None] < beta[..., i] + beta[..., j]).any(axis=-1)
+    rows, nodes = np.nonzero(overlap & ~full)
+    if rows.size:
+        f[rows, nodes] = _arc_union(U[rows], beta[rows, nodes]) if k == 2 else \
+            _section_rule(U[rows], beta[rows, nodes], U[rows, 0])
+    return f
+
+
+def _section_rule(C, R, E, kernel=None, w0=math.inf):
+    """int_S K sigma_1 over the union S of the caps of each row (centres
+    C (n, m, k), radii R (n, m)) on the unit sphere of R^k, for all rows.
+
+    With t the colatitude about the row's pole E (n, k), it is
+
+        int_0^pi K(t) f(t) sin^(k-2) t dt / int_0^pi sin^(k-2) t dt,
+
+    f(t) the fraction of the section sphere at t inside S
+    (``_section_fraction``), K = kernel(points, t) (1 if None), peaking at
+    t = 0 with the width w0 (n,).  Every piece between the kinks of f
+    (``_section_caps``) is graded toward both its ends.
+    """
+    ca, sa, T, ends = _section_caps(C, R, E)
+    cr = np.cos(R)
+    k = C.shape[2]
+
+    def g(i, t):
+        ct, st = np.cos(t)[..., None], np.sin(t)[..., None]
+        # the section at t lies in cap j where cos(psi) >= mu, psi the
+        # azimuth from the cap centre's direction; for a cap about the pole
+        # (sin a = 0) mu is +-1e300 times the sign of cos R - cos t cos a
+        mu = (cr[i, None] - ct * ca[i, None]) / np.fmax(st * sa[i, None], 1e-300)
+        val = _section_fraction(T[i], np.arccos(np.clip(mu, -1.0, 1.0)), k - 1) \
+            * st[..., 0] ** (k - 2)
+        return val if kernel is None else val * kernel(i, t)
+
+    return _piece_integrals(ends, g, w0) / _sin_power_total(k)
 
 
 def surface_measure(S: CapSet) -> float:
-    """Normalised surface measure of the cap union, sigma_1(S) in (0, 1]."""
-    return min(_union_measure(S.caps, S.d), 1.0)
+    """Normalised surface measure of the cap union, sigma_1(S) in (0, 1]:
+    the merged arcs in d = 2, else the section rule with K = 1 about the
+    first cap's centre."""
+    if S.d == 2:
+        total = sum(hi - lo for lo, hi in _merge_arcs(S.caps)) / (2.0 * math.pi)
+    else:
+        C = S.centers()[None]
+        total = float(_section_rule(C, S.radii()[None], C[:, 0])[0])
+    return min(total, 1.0)
 
 
-# -- quadrature rules --------------------------------------------------------
+# -- frames and covering -----------------------------------------------------
 
 def plane_frame(normal: tuple[float, ...]) -> np.ndarray:
     """Orthonormal (d-1, d) basis of the hyperplane orthogonal to ``normal``.
 
     Built from a Householder reflection, hence deterministic in the normal.
     """
-    v = np.asarray(normal, dtype=float)
-    d = v.size
-    e = np.zeros(d)
-    e[-1] = 1.0
-    w = v - e
-    nw = np.linalg.norm(w)
-    if nw < 1e-14:
-        h = np.eye(d)
-    else:
-        w = w / nw
-        h = np.eye(d) - 2.0 * np.outer(w, w)
-    # h maps e_d to v; its remaining columns span the hyperplane
-    return h[:, : d - 1].T
+    return _frames(np.asarray(normal, dtype=float)[None])[0]
 
 
 def _covering_counts(S: CapSet, nodes: np.ndarray) -> np.ndarray:
     cosang = np.clip(nodes @ S.centers().T, -1.0, 1.0)
     return (np.arccos(cosang) <= S.radii()[None, :] + 1e-12).sum(axis=1)
-
-
-def _cap_product_nodes(center, radius, d, n_target):
-    """Product quadrature on one cap: Gauss-Legendre in colatitude, uniform
-    azimuth (d=3) or a cascaded rule (d>=4)."""
-    center = np.asarray(center)
-    n_t = max(4, int(round(math.sqrt(n_target / 3.0))))
-    n_inner = max(8, n_target // n_t)
-    t, wq = gauss_panels(0.0, radius, n_t)
-    wt = wq * np.sin(t) ** (d - 2) / _sin_power_total(d)
-    frame = plane_frame(tuple(center))  # (d-1, d)
-    if d == 3:
-        phi = (np.arange(n_inner) + 0.5) * 2.0 * math.pi / n_inner
-        ring = np.stack([np.cos(phi), np.sin(phi)], axis=1)  # (m, 2)
-        w_in = np.full(n_inner, 1.0 / n_inner)
-    else:
-        sub = CapSet.full_sphere(d - 1)
-        ring, w_in = quadrature_nodes(sub, n_inner)
-    ring_amb = ring @ frame  # (m, d), unit tangent vectors
-    nodes = np.cos(t)[:, None, None] * center[None, None, :] \
-        + np.sin(t)[:, None, None] * ring_amb[None, :, :]
-    weights = wt[:, None] * w_in[None, :]
-    return nodes.reshape(-1, d), weights.reshape(-1)
-
-
-def quadrature_nodes(S: CapSet, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights realising integration against sigma_1 restricted to S
-    (d >= 3; d = 2 harmonic weights use a graded rule of their own).
-
-    Weights are rescaled so they sum exactly to surface_measure(S).
-    Raises if n is too small to give every cap at least 8 nodes.
-    """
-    if S.d < 3:
-        raise ValueError("quadrature rules are built for d >= 3 only")
-    if n < 8 * len(S.caps):
-        raise ValueError(f"need at least {8 * len(S.caps)} nodes for {len(S.caps)} caps")
-    meas = np.array([_cap_measure(r, S.d) for _, r in S.caps])
-    shares = np.maximum(meas / meas.sum(), 0.02)
-    nodes, weights = [], []
-    for (c, r), share in zip(S.caps, shares / shares.sum()):
-        nd, w = _cap_product_nodes(c, r, S.d, max(16, int(n * share)))
-        nodes.append(nd)
-        weights.append(w)
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
-    if len(S.caps) > 1:
-        weights = weights / _covering_counts(S, nodes)
-    return nodes, weights * (surface_measure(S) / weights.sum())
 
 
 # -- membership --------------------------------------------------------------

@@ -158,62 +158,15 @@ def _arcsine_mass_factor(alpha: float) -> float:
 
 # -- harmonic functions ------------------------------------------------------
 
-_DEFAULT_NODES = {3: 4096}
-_MAX_DOUBLINGS = 6
-_RTOL = 1e-6        # relative accuracy of the harmonic weights
-
-_PANEL_NODES = 20       # Gauss nodes per panel
-_GRADING_RATIO = 0.15   # ratio of neighbouring panel lengths in a graded rule
-_GRADING_LEVELS = 19    # graded panels per half of an endpoint rule
-
-
-@lru_cache(maxsize=128)
-def _cached_nodes(S: geo.CapSet, n: int):
-    return geo.quadrature_nodes(S, n)
-
-
-def _kernel_sum(nodes, weights, X, power):
-    # sum_j w_j |x - node_j|^power for every row x of X, chunked
-    out = np.empty(len(X))
-    step = max(1, 2_000_000 // max(len(nodes), 1))
-    for i in range(0, len(X), step):
-        diff = X[i:i + step, None, :] - nodes[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        out[i:i + step] = (d2 ** (power / 2.0)) @ weights
-    return out
-
-
-def _peak_integrals(g, w, length):
-    # int_0^L_i g(i, s) ds for every row i, where g peaks a distance w_i
-    # before s = 0 and g(rows, s) takes a slice of rows and their nodes s:
-    # the panel [0, w_i], then panels growing by 1/_GRADING_RATIO up to L_i,
-    # _PANEL_NODES Gauss-Legendre nodes each.  Rows go 4096 at a time, padded
-    # to the largest panel count among them with zero-length panels at L_i
-    out = np.empty(len(w))
-    grow = 1.0 / _GRADING_RATIO
-    gx, gw = geo._leggauss(_PANEL_NODES)
-    for i in range(0, len(w), 4096):
-        rows = slice(i, i + 4096)
-        wr, lr = np.fmin(w[rows], length[rows]), length[rows]
-        levels = math.ceil(np.log(np.fmax(lr / wr, 1.0)).max() / math.log(grow))
-        edges = np.minimum(wr[:, None] * np.r_[0.0, grow ** np.arange(levels + 1)],
-                           lr[:, None])
-        edges[:, -1] = lr
-        mid = 0.5 * (edges[:, 1:] + edges[:, :-1])[:, :, None]
-        half = 0.5 * (edges[:, 1:] - edges[:, :-1])[:, :, None]
-        s = (mid + half * gx).reshape(len(lr), -1)
-        out[rows] = (g(rows, s) * (half * gw).reshape(len(lr), -1)).sum(axis=1)
-    return out
-
-
 def sphere_harmonic_many(S: geo.CapSet, X, p: StableParams) -> np.ndarray:
-    """Integral of |x-theta|^(alpha-d) over S against sigma_1, vectorised.
+    """Integral of |x-theta|^(alpha-d) over S against sigma_1, vectorised;
+    a row that is not finite gives NaN.
 
     d = 2: one distance-graded Gauss-Legendre rule for all points, on the
-    arc pieces between arg x, its antipode and the arc ends; a row that is
-    not finite gives NaN.  d >= 3: a product rule whose node count doubles
-    until a Richardson check passes for every point; points within 0.02 of
-    S raise ``ConvergenceError``.
+    arc pieces between arg x, its antipode and the arc ends.  d >= 3: the
+    section rule (``geometry._section_rule``) in the colatitude about
+    x/|x|, graded at the kernel's peak and toward the kinks of the section
+    fraction, for all points in one array call.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     dist = geo.euclidean_distance_to_shell_many(S, X)
@@ -221,26 +174,26 @@ def sphere_harmonic_many(S: geo.CapSet, X, p: StableParams) -> np.ndarray:
         raise SingularityError("point within 1e-9 of the spherical target set")
     if p.d == 2:
         return np.where(np.isnan(dist), np.nan, _sphere_harmonic_d2(S, X, p))
-    if np.any(dist < 0.02):
-        raise ConvergenceError(
-            "near-set harmonic evaluation is only supported for d = 2")
-    out = np.empty(len(X))
-    todo = np.arange(len(X))
-    n = _DEFAULT_NODES.get(p.d, 16384)
-    nodes, weights = _cached_nodes(S, n)
-    prev = _kernel_sum(nodes, weights, X, p.alpha - p.d)
-    for _ in range(_MAX_DOUBLINGS):
-        n *= 2
-        nodes, weights = _cached_nodes(S, n)
-        cur = _kernel_sum(nodes, weights, X[todo], p.alpha - p.d)
-        ok = np.abs(cur - prev) <= 0.5 * _RTOL * np.abs(cur)
-        out[todo[ok]] = cur[ok]
-        todo = todo[~ok]
-        prev = cur[~ok]
-        if todo.size == 0:
-            return out
-    raise ConvergenceError(
-        f"sphere harmonic quadrature did not converge for {todo.size} points")
+    out = np.full(len(X), np.nan)
+    ok = np.flatnonzero(np.isfinite(dist))
+    out[ok] = _sphere_harmonic_sections(S, X[ok], p)
+    return out
+
+
+def _sphere_harmonic_sections(S: geo.CapSet, X, p: StableParams) -> np.ndarray:
+    # the kernel ((r - 1)^2 + 4 r sin^2(t/2))^((alpha-d)/2) of the colatitude
+    # t about x/|x| peaks at t = 0 with the width |r - 1|/sqrt(r) of
+    # _sphere_harmonic_d2; at the origin it is 1 about any pole
+    r = np.linalg.norm(X, axis=1)
+    E = X / np.where(r > 0.0, r, 1.0)[:, None]
+    E[r == 0.0, 0] = 1.0
+    c, q, pw = (r - 1.0) ** 2, 4.0 * r, (p.alpha - p.d) / 2.0
+    with np.errstate(divide="ignore"):
+        w0 = np.abs(r - 1.0) / np.sqrt(r)
+    shape = (len(X),) + S.radii().shape
+    return geo._section_rule(
+        np.broadcast_to(S.centers(), shape + (p.d,)), np.broadcast_to(S.radii(), shape), E,
+        lambda i, t: (c[i, None] + q[i, None] * np.sin(0.5 * t) ** 2) ** pw, w0)
 
 
 def _sphere_harmonic_d2(S: geo.CapSet, X, p: StableParams) -> np.ndarray:
@@ -268,7 +221,7 @@ def _sphere_harmonic_d2(S: geo.CapSet, X, p: StableParams) -> np.ndarray:
         w = np.hypot(np.abs(rp - 1.0) / np.sqrt(rp), start)
     c, q = (rp - 1.0) ** 2, 4.0 * rp
     pw = (p.alpha - 2.0) / 2.0
-    vals = _peak_integrals(
+    vals = geo._peak_integrals(
         lambda i, s: (c[i, None] + q[i, None] * np.sin(0.5 * (start[i, None] + s)) ** 2) ** pw,
         w, length)
     return np.bincount(point, weights=vals, minlength=len(X)) / (2.0 * math.pi)
@@ -291,123 +244,96 @@ def full_sphere_harmonic_closed(radius: float, p: StableParams) -> float:
 
 
 def plane_harmonic_many(D: geo.PlanarSet, X, p: StableParams) -> np.ndarray:
+    """Integral of |x-y|^(alpha-d) over the planar set against Lebesgue
+    measure, for every row x of X.
+
+    d = 2: the distance-graded rule on the segment pieces of all rows in
+    one call; d = 3: the graded rule over the angle about the foot of x,
+    all rows in one call; d >= 4 (balls only): a nested quad per row.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return np.array([plane_harmonic(D, x, p) for x in X])
-
-
-def plane_harmonic(D: geo.PlanarSet, x, p: StableParams) -> float:
-    """Integral of |x-y|^(alpha-d) over the planar set against Lebesgue measure."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(D.normal)
-    eta = float(x @ v)
-    u = geo.plane_frame(D.normal) @ x
-    dist = math.hypot(eta, float(geo.plane_distance_many(D, u[None, :])[0]))
-    if dist < SINGULARITY_CUTOFF:
+    eta = X @ np.asarray(D.normal)
+    U = X @ geo.plane_frame(D.normal).T
+    if np.any(np.hypot(eta, geo.plane_distance_many(D, U)) < SINGULARITY_CUTOFF):
         raise SingularityError("point within 1e-9 of the planar target set")
     if p.d == 2:
-        return _plane_harmonic_d2(D, u, eta, p)
+        return _plane_harmonic_d2(D, U, eta, p)
     if p.d == 3:
-        return _plane_harmonic_d3(D, u, eta, p)
+        return _plane_harmonic_d3(D, U, eta, p)
     if D.shape == "ball":
-        return _plane_harmonic_ball(D, u, eta, p)
+        return np.array([_plane_harmonic_ball(D, u, e, p) for u, e in zip(U, eta)])
     raise NotImplementedError("box planar sets are supported for d <= 3 only")
 
 
-def _plane_harmonic_d2(D, u, eta, p):
+def plane_harmonic(D: geo.PlanarSet, x, p: StableParams) -> float:
+    """Harmonic weight of the planar set at one point x not in D."""
+    return float(plane_harmonic_many(D, np.array([x], dtype=float), p)[0])
+
+
+def _plane_harmonic_d2(D, U, eta, p):
     if D.shape == "ball":
         (c0,), radius = D.params
         lo, hi = c0 - radius, c0 + radius
     else:
         (lo,), (hi,) = D.params
-    # the segment as offsets from u, cut at 0 and integrated outward from
-    # the peak of (t^2 + eta^2)^((alpha-2)/2) at t = 0
-    a, b = lo - u[0], hi - u[0]
-    start = np.array([max(-b, 0.0), max(a, 0.0)])
-    length = np.array([min(b, 0.0) - a, b - max(a, 0.0)])
-    start, length = start[length > 0.0], length[length > 0.0]
-    pw = (p.alpha - 2.0) / 2.0
-    vals = _peak_integrals(lambda i, s: ((start[i, None] + s) ** 2 + eta * eta) ** pw,
-                           np.hypot(eta, start), length)
-    return float(vals.sum())
+    # the segment as offsets from each foot u, cut at 0 and integrated
+    # outward from the peak of (t^2 + eta^2)^((alpha-2)/2) at t = 0
+    a, b = lo - U[:, 0], hi - U[:, 0]
+    start = np.concatenate([np.fmax(-b, 0.0), np.fmax(a, 0.0)])
+    length = np.concatenate([np.fmin(b, 0.0) - a, b - np.fmax(a, 0.0)])
+    point = np.tile(np.arange(len(U)), 2)
+    keep = length > 0.0
+    start, length, point = start[keep], length[keep], point[keep]
+    e2, pw = eta[point] * eta[point], (p.alpha - 2.0) / 2.0
+    vals = geo._peak_integrals(lambda i, s: ((start[i, None] + s) ** 2 + e2[i, None]) ** pw,
+                               np.hypot(eta[point], start), length)
+    return np.bincount(point, weights=vals, minlength=len(U))
 
 
-def _chord_ball(b, gam, radius):
-    # entry/exit distances along a ray at angle gam from a point at distance b
-    disc = radius ** 2 - (b * math.sin(gam)) ** 2
-    if disc <= 0.0:
-        return None
-    root = math.sqrt(disc)
-    t0, t1 = b * math.cos(gam) - root, b * math.cos(gam) + root
-    if t1 <= 0.0:
-        return None
-    return max(t0, 0.0), t1
-
-
-def _chord_box(u, direction, lo, hi):
-    t0, t1 = 0.0, math.inf
-    for k in range(len(u)):
-        dk = direction[k]
-        if abs(dk) < 1e-15:
-            if not lo[k] <= u[k] <= hi[k]:
-                return None
-            continue
-        s0, s1 = (lo[k] - u[k]) / dk, (hi[k] - u[k]) / dk
-        if s0 > s1:
-            s0, s1 = s1, s0
-        t0, t1 = max(t0, s0), min(t1, s1)
-    if t1 <= t0:
-        return None
-    return t0, t1
-
-
-def _plane_harmonic_d3(D, u, eta, p):
-    # exact radial antiderivative of (rho^2+eta^2)^{(a-3)/2} rho
-    am1 = p.alpha - 1.0
-
-    def radial(lohi):
-        if lohi is None:
-            return 0.0
-        r0, r1 = lohi
-        return ((r1 * r1 + eta * eta) ** (am1 / 2.0)
-                - (r0 * r0 + eta * eta) ** (am1 / 2.0)) / am1
-
+def _plane_harmonic_d3(D, U, eta, p):
+    # over the angle t about the foot u of x, the exact radial antiderivative
+    # of (rho^2 + eta^2)^((alpha-3)/2) rho across the chord (rho0, rho1) of D
+    # along t.  It kinks where the chord's ends change sides: at the box
+    # corners, or at the tangent directions of a ball seen from outside
+    # (from inside the ball, one turn about the centre direction)
+    am1, e2 = p.alpha - 1.0, eta * eta
     if D.shape == "ball":
         center, radius = D.params
-        cvec = np.asarray(center) - u
-        b = float(np.linalg.norm(cvec))
-        base = math.atan2(cvec[1], cvec[0]) if b > 1e-14 else 0.0
-        inside = b < radius
+        cvec = np.asarray(center) - U
+        b = np.hypot(cvec[:, 0], cvec[:, 1])
+        base = np.arctan2(cvec[:, 1], cvec[:, 0])
+        half = np.where(b > radius, np.arcsin(radius / np.fmax(b, radius)), math.pi)
+        ends = np.stack([base - half, base + half], axis=1)
 
-        def g(phi):
-            if b <= 1e-14:
-                return radial((0.0, radius))
-            return radial(_chord_ball(b, phi, radius))
-
-        if inside:
-            lo_a, hi_a = -math.pi, math.pi
-        else:
-            half = math.asin(min(radius / b, 1.0))
-            lo_a, hi_a = -half, half
-        breaks = None
+        def chord(i, t):
+            along, across = (b[i, None] * f(t - base[i, None]) for f in (np.cos, np.sin))
+            root = np.sqrt(np.fmax(radius * radius - across * across, 0.0))
+            return np.fmax(along - root, 0.0), np.fmax(along + root, 0.0)
     else:
         lo, hi = (np.asarray(q) for q in D.params)
-        corners = [np.array([a, b2]) for a in (lo[0], hi[0]) for b2 in (lo[1], hi[1])]
-        base = 0.0
-        angles = sorted(math.atan2(*(c - u)[::-1]) for c in corners)
-        lo_a, hi_a = -math.pi, math.pi
-        breaks = angles
+        corners = np.array([(x, y) for x in (lo[0], hi[0]) for y in (lo[1], hi[1])])
+        ang = np.sort(np.arctan2(corners[:, 1] - U[:, 1:], corners[:, 0] - U[:, :1]), axis=1)
+        ends = np.concatenate([ang, ang[:, :1] + 2.0 * math.pi], axis=1)
 
-        def g(phi):
-            direction = np.array([math.cos(phi), math.sin(phi)])
-            return radial(_chord_box(u, direction, lo, hi))
+        def chord(i, t):
+            # the slab method; a direction along a face the foot lies on
+            # gives 0/0, which fmin and fmax ignore
+            dirs = (np.cos(t), np.sin(t))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s = [((lo[k] - U[i, k, None]) / dirs[k], (hi[k] - U[i, k, None]) / dirs[k])
+                     for k in range(2)]
+            r0 = np.fmax(np.fmax(*(np.fmin(*sk) for sk in s)), 0.0)
+            r1 = np.fmin(*(np.fmax(*sk) for sk in s))
+            return r0, np.fmax(r1, r0)
 
-    f = lambda phi: g(base + phi)
-    pts = [a - base for a in breaks] if breaks else None
-    if pts is not None:
-        pts = [t for t in pts if lo_a < t < hi_a]
-    val, _ = quad(f, lo_a, hi_a, points=pts, limit=400, epsabs=1e-13,
-                  epsrel=1e-2 * _RTOL)
-    return val
+    def radial(i, t):
+        r0, r1 = chord(i, t)
+        b0, b1 = r0 * r0 + e2[i, None], r1 * r1 + e2[i, None]
+        if am1 == 0.0:
+            return 0.5 * np.log(b1 / b0)
+        return (b1 ** (am1 / 2.0) - b0 ** (am1 / 2.0)) / am1
+
+    return geo._piece_integrals(ends, radial, 0.0)
 
 
 def _plane_harmonic_ball(D, u, eta, p):
@@ -424,7 +350,7 @@ def _plane_harmonic_ball(D, u, eta, p):
         val, _ = quad(f, 0.0, math.pi, limit=200, epsabs=1e-13, epsrel=1e-10)
         return val * s ** (k - 1)
 
-    val, _ = quad(inner, 0.0, radius, limit=200, epsabs=1e-13, epsrel=1e-2 * _RTOL)
+    val, _ = quad(inner, 0.0, radius, limit=200, epsabs=1e-13, epsrel=1e-8)
     return omega * val
 
 
@@ -434,8 +360,8 @@ def _plane_harmonic_ball(D, u, eta, p):
 def _graded_panels():
     # Gauss-Legendre nodes and weights of the graded panels of one half of
     # [0, 1] as distances from its endpoint, and the innermost panel length
-    edges = 0.5 * _GRADING_RATIO ** np.arange(_GRADING_LEVELS, -1, -1.0)
-    gx, gw = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    edges = 0.5 * geo._GRADING_RATIO ** np.arange(geo._GRADING_LEVELS, -1, -1.0)
+    gx, gw = np.polynomial.legendre.leggauss(geo._PANEL_NODES)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     return (mid[:, None] + half[:, None] * gx).ravel(), \
@@ -446,7 +372,7 @@ def _graded_panels():
 def _jacobi_nodes(p: float):
     # Gauss-Jacobi on [-1, 1] with weight (1+x)^p; room for the 151 fixed
     # powers of the kernel checks and the three of each alpha's rules
-    return sc.roots_jacobi(_PANEL_NODES, 0.0, p)
+    return sc.roots_jacobi(geo._PANEL_NODES, 0.0, p)
 
 
 def _half_rule(p_near: float, p_far: float):

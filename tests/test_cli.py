@@ -130,6 +130,21 @@ def test_main_exit_codes(tmp_path, capsys):
     assert resolved["seed"] == 3 and resolved["workers"] == 2
 
 
+def test_overlapping_caps_d3_cli(tmp_path):
+    # the theory weight of an overlapping cap union in d = 3 once raised
+    cfg = cli.parse_config(write(tmp_path, """
+experiment = hitting
+alpha = 0.7
+d = 3
+caps = 1 0 0 : 0.8 ; 0 1 0 : 0.9
+x0 = 0.3 0.4 1.5
+n_paths = 200
+horizon = 0.1
+seed = 3
+"""))
+    assert cli.run(cfg, out_dir=tmp_path / "out") in (0, 2)
+
+
 def test_duality_cli(tmp_path):
     cfg_text = """
 experiment = duality
@@ -272,8 +287,8 @@ PINS = {
         "report.csv": "e80e6e1759f6ea1c172297b042283a7fd9fe1c0f47458f5fb4adebc15cbbcc9d",
         "plot.dat": "33be48793728462168a28c1e9ab61c1263c492b372efd4a1773a366c59424657"}),
     "potential-suite": (0, {
-        "report.json": "4eb2eb218a99f5df682a5d2adb8eaff77e2fe6d588124668c87d691887c2a0a5",
-        "report.csv": "30dd7d61653a9cc285412afdf7998dbf0b03bbd242ff875fa908c278abc1ef08",
+        "report.json": "0b63fb5480977cf3f9f8880ca324d230515ba443b98bbeedcdc5025c09e5e639",
+        "report.csv": "90f35fde533df5de1a372ab5c2c248767c82ad237b9f183565a89fcd06b4c825",
         "plot.dat": "9789dc215afc5ccc427cde633ead28a9f71090514aa7f8b62283f367ab1f7e75"}),
     "hitting": (0, {
         "report.json": "385a65b2af0664833aadd64be5e6c089b95e140941c0413b8a7beffc1d7522d7",

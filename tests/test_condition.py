@@ -39,6 +39,14 @@ def test_martingale_mean_one(x0, t):
     assert abs(est.value - 1.0) <= 4.0 * est.stderr
 
 
+def test_martingale_mean_one_d3():
+    # paths freeze within 0.05 of S, where d >= 3 weights once raised
+    S = ge.CapSet.single((1.0, 0.0, 0.0), math.pi / 2)
+    est = cond.martingale_check(StableParams(0.5, 3), S, (1.5, 0.5, 0.0), 0.1, 15_000,
+                                h=0.01, seed=21)
+    assert abs(est.value - 1.0) <= 4.0 * est.stderr
+
+
 def test_hitting_experiment_small():
     rep = cond.hitting_experiment(P2, FULL, (2.0, 0.0), [0.2, 0.1],
                                   n_paths=6000, seed=31).data

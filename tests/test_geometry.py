@@ -126,7 +126,10 @@ def test_surface_measure_basic():
 def test_surface_measure_overlapping_union():
     # two orthogonal hemispheres in R^3: complement is a quarter lune
     S = ge.CapSet((((1, 0, 0), math.pi / 2), ((0, 1, 0), math.pi / 2)), 3)
-    assert ge.surface_measure(S) == pytest.approx(0.75, rel=1e-8)
+    assert ge.surface_measure(S) == pytest.approx(0.75, rel=1e-12)
+    # in R^4 the sections overlap too, and the rule recurses into d = 3
+    S4 = ge.CapSet((((1, 0, 0, 0), math.pi / 2), ((0, 1, 0, 0), math.pi / 2)), 4)
+    assert ge.surface_measure(S4) == pytest.approx(0.75, rel=1e-12)
     # overlapping arcs on the circle are exact
     S2 = ge.CapSet((((1.0, 0.0), 1.0),
                     ((math.cos(0.8), math.sin(0.8)), 1.0)), 2)
@@ -147,39 +150,6 @@ def test_surface_measure_shrinkage():
             assert m < prev
         prev = m
     assert prev - m0 < 5e-3
-
-
-# -- quadrature -------------------------------------------------------------------
-
-def test_quadrature_nodes_normalisation():
-    full3 = ge.CapSet.full_sphere(3)
-    nodes, w = ge.quadrature_nodes(full3, 4096)
-    assert w.sum() == pytest.approx(1.0, abs=1e-10)
-    assert (w * nodes[:, 0] ** 2).sum() == pytest.approx(1.0 / 3.0, rel=1e-8)
-    hemi = ge.CapSet.single((0.0, 0.0, 1.0), math.pi / 2)
-    nodes, w = ge.quadrature_nodes(hemi, 4096)
-    assert w.sum() == pytest.approx(ge.surface_measure(hemi), abs=1e-12)
-
-
-def test_quadrature_nodes_too_few():
-    caps = ge.CapSet((((1.0, 0.0, 0.0), 0.2), ((-1.0, 0.0, 0.0), 0.2)), 3)
-    with pytest.raises(ValueError, match="need at least 16 nodes"):
-        ge.quadrature_nodes(caps, 10)
-    # d = 2 harmonic weights have a graded rule of their own
-    with pytest.raises(ValueError, match="d >= 3"):
-        ge.quadrature_nodes(ge.CapSet.full_sphere(2), 512)
-
-
-def test_quadrature_kernel_richardson():
-    # doubling the rule converges for the Riesz kernel away from the set
-    caps = ge.CapSet.single((1.0, 0.0, 0.0), 0.7)
-    x = np.array([0.2, 0.1, 1.5])
-    vals = []
-    for n in (512, 1024, 2048, 4096):
-        nodes, w = ge.quadrature_nodes(caps, n)
-        vals.append(float((w * np.linalg.norm(x - nodes, axis=1) ** (-2.5)).sum()))
-    diffs = [abs(b - a) for a, b in zip(vals, vals[1:])]
-    assert diffs[-1] < 1e-8 or diffs[-1] < diffs[0]
 
 
 # -- membership --------------------------------------------------------------------

@@ -211,6 +211,91 @@ def test_sphere_harmonic_continuity():
     assert steps.max() < 0.05 * np.abs(vals).max()
 
 
+def _cap_oracle_d3(x, cap, alpha, minus=None):
+    # int over the cap (minus the cap ``minus``) of |x - y|^(alpha-3) against
+    # sigma_1, in the cap's own polar coordinates by nested scalar quad: the
+    # azimuths inside ``minus`` are cut out of each circle of colatitude
+    (c, rho), pw = cap, (alpha - 3.0) / 2.0
+    c = np.asarray(c)
+    u, v = ge.plane_frame(tuple(c))
+    kinks = []
+    if minus is not None:
+        cm, rm = np.asarray(minus[0]), minus[1]
+        gap = math.acos(float(cm @ c))
+        kinks = [t for t in (abs(gap - rm), gap + rm) if 0.0 < t < rho]
+
+    def circle(t):
+        lo, hi = 0.0, 2.0 * math.pi
+        if minus is not None:
+            psi, tang = math.atan2(cm @ v, cm @ u), math.hypot(cm @ u, cm @ v)
+            mu = (math.cos(rm) - math.cos(t) * (cm @ c)) / (math.sin(t) * tang)
+            beta = math.acos(min(1.0, max(-1.0, mu)))
+            lo, hi = psi + beta, psi + 2.0 * math.pi - beta
+        y = lambda s: math.cos(t) * c + math.sin(t) * (math.cos(s) * u + math.sin(s) * v)
+        val, _ = quad(lambda s: float((x - y(s)) @ (x - y(s))) ** pw, lo, hi,
+                      epsabs=0.0, epsrel=1e-13, limit=200)
+        return math.sin(t) * val
+
+    val, _ = quad(circle, 0.0, rho, points=kinks or None, epsabs=0.0, epsrel=1e-13,
+                  limit=200)
+    return val / (4.0 * math.pi)
+
+
+def test_sphere_harmonic_overlapping_caps_oracle():
+    # two overlapping caps in d = 3, where the product rule weighted by
+    # covering counts did not converge; oracle H(A) + H(B \ A), each in its
+    # own cap's polar coordinates
+    A, B = ((1.0, 0.0, 0.0), 0.8), ((0.0, 1.0, 0.0), 0.9)
+    S = ge.CapSet((A, B), 3)
+    X = np.array([(0.3, 0.4, 1.5), (0.0, 0.0, 3.0), (0.8, 0.75, 0.4), (0.2, 0.1, -0.3)])
+    vals = pot.sphere_harmonic_many(S, X, StableParams(0.7, 3))
+    for x, val in zip(X, vals):
+        oracle = _cap_oracle_d3(x, A, 0.7) + _cap_oracle_d3(x, B, 0.7, minus=A)
+        assert val == pytest.approx(oracle, rel=1e-12), x
+
+
+def test_sphere_harmonic_next_to_a_cap_d3():
+    # points on the axis at |x| = 1 +- 1e-8 (exact), 1e-8 from the cap in
+    # its interior and 1e-3 inside its boundary, and 1e-3 outside it.  (At
+    # 1e-8 from the boundary itself an ulp of the radius moves H by about
+    # 1e-8 relative.)  Oracle: the azimuthal mean in closed form, (A + B)^p
+    # 2F1(-p, 1/2; 1; 2B/(A + B)), and mpmath quadrature in the colatitude
+    # about the centre
+    rho, alpha = 0.7, 0.5
+    for r, a in ((1.0 + 1e-8, 0.3), (1.0 - 1e-8, rho - 1e-3), (1.0 + 1e-8, rho + 1e-3)):
+        S = ge.CapSet.single((math.sin(a), 0.0, math.cos(a)), rho)
+        (c1, _, c3), _ = S.caps[0]
+        val = pot.sphere_harmonic(S, (0.0, 0.0, r), StableParams(alpha, 3))
+        with mp.workdps(30):
+            rr, af, pw = mp.mpf(r), mp.atan2(c1, c3), (mp.mpf(alpha) - 3) / 2
+
+            def f(t):
+                A = rr * rr + 1 - 2 * rr * mp.cos(t) * mp.cos(af)
+                B = 2 * rr * mp.sin(t) * mp.sin(af)
+                return mp.sin(t) * (A + B) ** pw * mp.hyp2f1(-pw, 0.5, 1, 2 * B / (A + B))
+
+            cuts = {mp.mpf(0), mp.mpf(rho)} | {
+                af + s * mp.mpf(10) ** -k for k in range(11) for s in (-1, 1)}
+            oracle = mp.quad(f, sorted(c for c in cuts if 0 <= c <= rho)) / 2
+        assert val == pytest.approx(float(oracle), rel=1e-12), (r, a)
+
+
+def test_sphere_harmonic_full_sphere_hyp2f1_oracle():
+    # next to |x| = 1 (where full_sphere_harmonic_closed loses digits) and
+    # away from it, against 30-digit mpmath
+    for d in (3, 4):
+        for alpha in (0.3, 0.7, 1.5):
+            for r in (1.0 - 1e-6, 1.0 + 1e-8, 0.5, 5.0):
+                x = np.zeros(d)
+                x[0] = r
+                with mp.workdps(30):
+                    a, hi, lo = mp.mpf(alpha), max(mp.mpf(r), 1), min(mp.mpf(r), 1)
+                    oracle = hi ** (a - d) * mp.hyp2f1((d - a) / 2, (2 - a) / 2,
+                                                       mp.mpf(d) / 2, (lo / hi) ** 2)
+                val = pot.sphere_harmonic(ge.CapSet.full_sphere(d), x, StableParams(alpha, d))
+                assert val == pytest.approx(float(oracle), rel=1e-12), (d, alpha, r)
+
+
 def test_plane_harmonic_disk_oracle():
     p = StableParams(0.5, 3)
     D = ge.PlanarSet.ball((0.0, 0.0, 1.0), (0.0, 0.0), 1.0)
@@ -238,6 +323,43 @@ def test_plane_harmonic_box_oracle():
         lambda v, u: ((u - 0.2) ** 2 + (v - 0.1) ** 2 + 0.49) ** (-1.25),
         -0.5, 0.5, -1.0, 1.0, epsabs=1e-12, epsrel=1e-10)
     assert val == pytest.approx(oracle, rel=1e-8)
+
+
+def test_plane_harmonic_box_edge_oracle():
+    # 1e-8 above an edge and above a corner of a d = 3 box (alpha = 1 once
+    # divided by alpha - 1); oracle: the inner integral over y2 in closed
+    # form, t c^(2q) 2F1(-q, 1/2; 3/2; -t^2/c^2), and mpmath quadrature over
+    # y1 cut around the foot
+    D = ge.PlanarSet.box((0.0, 0.0, 1.0), (-0.5, -1.0), (0.5, 1.0))
+    for alpha, x in ((0.5, (0.2, -1.0, 1e-8)), (1.0, (0.5, -1.0, 1e-8))):
+        val = pot.plane_harmonic(D, x, StableParams(alpha, 3))
+        with mp.workdps(30):
+            u1, u2, eta = (mp.mpf(v) for v in x)
+            q = (mp.mpf(alpha) - 3) / 2
+
+            def inner(c2, t):
+                return t * c2 ** q * mp.hyp2f1(-q, 0.5, 1.5, -t * t / c2) if t else 0
+
+            def f(y1):
+                c2 = (y1 - u1) ** 2 + eta ** 2
+                return inner(c2, 1 - u2) - inner(c2, -1 - u2)
+
+            cuts = {mp.mpf(-0.5), mp.mpf(0.5)} | {
+                u1 + s * mp.mpf(10) ** -k for k in range(11) for s in (-1, 1)}
+            oracle = mp.quad(f, sorted(c for c in cuts if -0.5 <= c <= 0.5))
+        assert val == pytest.approx(float(oracle), rel=1e-12), (alpha, x)
+
+
+def test_plane_harmonic_many_matches_rows():
+    # one array call over all rows gives each row's value
+    for D, X in ((ge.PlanarSet.box((0.0, 1.0), (-1.0,), (1.0,)),
+                  [(0.3, 0.4), (-1.5, 0.01), (2.0, -0.3)]),
+                 (ge.PlanarSet.ball((0.0, 0.0, 1.0), (0.0, 0.0), 1.0),
+                  [(0.3, -0.2, 0.8), (1.5, 0.5, 0.01), (0.0, 0.0, 1.5)])):
+        p = StableParams(0.5, D.d)
+        batch = pot.plane_harmonic_many(D, np.array(X), p)
+        for x, val in zip(X, batch):
+            assert val == pytest.approx(pot.plane_harmonic(D, x, p), rel=1e-14)
 
 
 def test_plane_harmonic_d2_segment():
