@@ -33,6 +33,12 @@ def _leggauss(m: int):
     return np.polynomial.legendre.leggauss(m)
 
 
+def _blocks(n: int, per_row: int) -> list[slice]:
+    # slices of n rows of about 2 M array entries each, per_row a row
+    step = max(1, 2 ** 21 // per_row)
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
 def _peak_integrals(g, w, length):
     # int_0^L_i g(i, s) ds for every row i, where g peaks a distance w_i
     # before s = 0 and g(rows, s) takes a slice of rows and their nodes s:
@@ -42,8 +48,7 @@ def _peak_integrals(g, w, length):
     out = np.empty(len(w))
     grow = 1.0 / _GRADING_RATIO
     gx, gw = _leggauss(_PANEL_NODES)
-    for i in range(0, len(w), 4096):
-        rows = slice(i, i + 4096)
+    for rows in _blocks(len(w), 512):
         wr, lr = np.fmin(w[rows], length[rows]), length[rows]
         levels = math.ceil(np.log(np.fmax(lr / wr, 1.0)).max() / math.log(grow))
         edges = np.minimum(wr[:, None] * np.r_[0.0, grow ** np.arange(levels + 1)],
@@ -64,19 +69,23 @@ def _piece_integrals(ends, g, w0):
     # _GRADING_RATIO**_GRADING_LEVELS of the half (as in the endpoint rule),
     # or at ends[i, 0] the width w0[i] of a peak there if that is wider
     n, k = ends.shape[0], ends.shape[1] - 1
-    lo, hi = ends[:, :-1].ravel(), ends[:, 1:].ravel()
-    mid = lo + 0.5 * (hi - lo)
-    length = np.concatenate([mid - lo, hi - mid])
-    width = length * _GRADING_RATIO ** _GRADING_LEVELS
-    width[: n * k : k] = np.fmax(w0, width[: n * k : k])
-    start = np.concatenate([lo, hi])
-    sign = np.repeat([1.0, -1.0], n * k)
-    point = np.tile(np.repeat(np.arange(n), k), 2)
-    keep = length > 0.0
-    start, sign, point, width, length = (v[keep] for v in (start, sign, point, width, length))
-    vals = _peak_integrals(lambda i, s: g(point[i], start[i, None] + sign[i, None] * s),
-                           width, length)
-    return np.bincount(point, weights=vals, minlength=n)
+    w0 = np.broadcast_to(w0, (n,))
+    out = np.empty(n)
+    for rows in _blocks(n, 2 * k):
+        lo, hi = ends[rows, :-1].ravel(), ends[rows, 1:].ravel()
+        mid = lo + 0.5 * (hi - lo)
+        length = np.concatenate([mid - lo, hi - mid])
+        width = length * _GRADING_RATIO ** _GRADING_LEVELS
+        width[: len(lo) : k] = np.fmax(w0[rows], width[: len(lo) : k])
+        start = np.concatenate([lo, hi])
+        sign = np.repeat([1.0, -1.0], len(lo))
+        point = np.tile(np.repeat(np.arange(n)[rows], k), 2)
+        keep = length > 0.0
+        start, sign, point, width, length = (v[keep] for v in (start, sign, point, width, length))
+        vals = _peak_integrals(lambda i, s: g(point[i], start[i, None] + sign[i, None] * s),
+                               width, length)
+        out[rows] = np.bincount(point - rows.start, weights=vals, minlength=len(lo) // k)
+    return out
 
 
 def unit_vector(v) -> tuple[float, ...]:
@@ -366,19 +375,18 @@ def _section_fraction(T, beta, k: int):
     """Fraction of the unit sphere of R^k inside the union of the caps of
     radii beta (rows, nodes, m) about the directions T (rows, m, k).
 
-    One cap's measure, the sum for disjoint caps, and for overlapping ones
-    the merged arcs (k = 2) or ``_section_rule`` one dimension down.
+    The sum of the caps' measures where no two of them overlap, else the
+    merged arcs (k = 2) or ``_section_rule`` one dimension down.
     """
-    m = beta.shape[-1]
-    if m == 1:
-        return _cap_measure(beta[..., 0], k)
     full = (beta >= math.pi).any(axis=-1)
     f = np.where(full, 1.0, _cap_measure(beta, k).sum(axis=-1))
     norm = np.linalg.norm(T, axis=-1, keepdims=True)
     U = np.where(norm > 0.0, T / np.where(norm > 0.0, norm, 1.0), np.eye(k)[0])
     gap = np.arccos(np.clip(np.einsum("rik,rjk->rij", U, U), -1.0, 1.0))
-    i, j = np.triu_indices(m, 1)
-    overlap = (gap[:, i, j][:, None] < beta[..., i] + beta[..., j]).any(axis=-1)
+    overlap = np.zeros(full.shape, dtype=bool)
+    for i in range(beta.shape[-1]):
+        for j in range(i + 1, beta.shape[-1]):
+            overlap |= gap[:, i, j, None] < beta[..., i] + beta[..., j]
     rows, nodes = np.nonzero(overlap & ~full)
     if rows.size:
         f[rows, nodes] = _arc_union(U[rows], beta[rows, nodes]) if k == 2 else \
@@ -401,16 +409,20 @@ def _section_rule(C, R, E, kernel=None, w0=math.inf):
     """
     ca, sa, T, ends = _section_caps(C, R, E)
     cr = np.cos(R)
-    k = C.shape[2]
+    m, k = C.shape[1:]
 
     def g(i, t):
-        ct, st = np.cos(t)[..., None], np.sin(t)[..., None]
-        # the section at t lies in cap j where cos(psi) >= mu, psi the
-        # azimuth from the cap centre's direction; for a cap about the pole
-        # (sin a = 0) mu is +-1e300 times the sign of cos R - cos t cos a
-        mu = (cr[i, None] - ct * ca[i, None]) / np.fmax(st * sa[i, None], 1e-300)
-        val = _section_fraction(T[i], np.arccos(np.clip(mu, -1.0, 1.0)), k - 1) \
-            * st[..., 0] ** (k - 2)
+        # blocks of about 2 M (node, cap) pairs, and as many of the caps'
+        # kinks and directions one dimension down
+        val = np.empty(t.shape)
+        for b in _blocks(len(t), t.shape[1] * m * (m + k)):
+            # the section at t lies in cap j where cos(psi) >= mu, psi the
+            # azimuth from the centre's direction; about the pole (sin a = 0)
+            # mu is +-1e300 with the sign of cos R - cos t cos a
+            ib, ct, st = i[b], np.cos(t[b])[..., None], np.sin(t[b])[..., None]
+            mu = (cr[ib, None] - ct * ca[ib, None]) / np.fmax(st * sa[ib, None], 1e-300)
+            val[b] = _section_fraction(T[ib], np.arccos(np.clip(mu, -1.0, 1.0)), k - 1) \
+                * st[..., 0] ** (k - 2)
         return val if kernel is None else val * kernel(i, t)
 
     return _piece_integrals(ends, g, w0) / _sin_power_total(k)
@@ -418,14 +430,11 @@ def _section_rule(C, R, E, kernel=None, w0=math.inf):
 
 def surface_measure(S: CapSet) -> float:
     """Normalised surface measure of the cap union, sigma_1(S) in (0, 1]:
-    the merged arcs in d = 2, else the section rule with K = 1 about the
+    the swept arcs in d = 2, else the section rule with K = 1 about the
     first cap's centre."""
-    if S.d == 2:
-        total = sum(hi - lo for lo, hi in _merge_arcs(S.caps)) / (2.0 * math.pi)
-    else:
-        C = S.centers()[None]
-        total = float(_section_rule(C, S.radii()[None], C[:, 0])[0])
-    return min(total, 1.0)
+    C, R = S.centers()[None], S.radii()[None]
+    total = _arc_union(C, R) if S.d == 2 else _section_rule(C, R, C[:, 0])
+    return min(float(total[0]), 1.0)
 
 
 # -- frames and covering -----------------------------------------------------

@@ -294,21 +294,28 @@ def _plane_harmonic_d3(D, U, eta, p):
     # over the angle t about the foot u of x, the exact radial antiderivative
     # of (rho^2 + eta^2)^((alpha-3)/2) rho across the chord (rho0, rho1) of D
     # along t.  It kinks where the chord's ends change sides: at the box
-    # corners, or at the tangent directions of a ball seen from outside
-    # (from inside the ball, one turn about the centre direction)
+    # corners, or at the tangent directions of a ball seen from its rim or
+    # outside.  From inside, one turn from -pi/2 off the centre direction,
+    # cut at pi/2: a foot a gap g inside the rim sees the chord drop at
+    # +-pi/2 to about g, within about sqrt(g/radius) + eta/radius
     am1, e2 = p.alpha - 1.0, eta * eta
     if D.shape == "ball":
         center, radius = D.params
         cvec = np.asarray(center) - U
         b = np.hypot(cvec[:, 0], cvec[:, 1])
         base = np.arctan2(cvec[:, 1], cvec[:, 0])
-        half = np.where(b > radius, np.arcsin(radius / np.fmax(b, radius)), math.pi)
-        ends = np.stack([base - half, base + half], axis=1)
+        inside = (radius - b) * (radius + b)
+        outer = np.where(inside > 0.0, math.pi, np.arctan2(radius, np.sqrt(np.fmax(-inside, 0.0))))
+        inner = np.fmin(outer, 0.5 * math.pi)
+        ends = base[:, None] + np.stack([-inner, inner, 2.0 * outer - inner], axis=1)
 
         def chord(i, t):
-            along, across = (b[i, None] * f(t - base[i, None]) for f in (np.cos, np.sin))
-            root = np.sqrt(np.fmax(radius * radius - across * across, 0.0))
-            return np.fmax(along - root, 0.0), np.fmax(along + root, 0.0)
+            # the roots along -+ sqrt(along^2 + inside): the one of smaller
+            # size as -inside over the other, accurate next to the rim
+            along = b[i, None] * np.cos(t - base[i, None])
+            c = inside[i, None]
+            big = np.fmax(np.abs(along) + np.sqrt(np.fmax(c + along * along, 0.0)), 1e-300)
+            return np.fmax(np.where(along >= 0.0, [-c / big, big], [-big, c / big]), 0.0)
     else:
         lo, hi = (np.asarray(q) for q in D.params)
         corners = np.array([(x, y) for x in (lo[0], hi[0]) for y in (lo[1], hi[1])])

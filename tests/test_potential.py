@@ -350,6 +350,31 @@ def test_plane_harmonic_box_edge_oracle():
         assert val == pytest.approx(float(oracle), rel=1e-12), (alpha, x)
 
 
+def test_plane_harmonic_disk_rim_oracle():
+    # feet on the rim of the unit disk in d = 3 and 1e-6 either side of it;
+    # oracle: polar coordinates (s, phi) about the disk's centre, the
+    # integral over phi in closed form,
+    # 2 pi A^q 2F1(-q/2, (1-q)/2; 1; (B/A)^2) with A - B cos phi the squared
+    # distance, and mpmath quadrature over s cut around the foot's radius
+    D = ge.PlanarSet.ball((0.0, 0.0, 1.0), (0.0, 0.0), 1.0)
+    for alpha in (0.5, 1.0):
+        for u in (1.0, 1.0 - 1e-6, 1.0 + 1e-6):
+            for eta in (1e-2, 1e-8):
+                val = pot.plane_harmonic(D, (u, 0.0, eta), StableParams(alpha, 3))
+                with mp.workdps(30):
+                    b, q = mp.mpf(u), (mp.mpf(alpha) - 3) / 2
+
+                    def f(s):
+                        A, B = s * s + b * b + mp.mpf(eta) ** 2, 2 * s * b
+                        return 2 * mp.pi * s * A ** q * mp.hyp2f1(-q / 2, (1 - q) / 2, 1,
+                                                                 (B / A) ** 2)
+
+                    cuts = {mp.mpf(0), mp.mpf(1), b} | {
+                        b + sg * mp.mpf(10) ** -k for k in range(0, 11, 2) for sg in (-1, 1)}
+                    oracle = mp.quad(f, sorted(c for c in cuts if 0 <= c <= 1))
+                assert val == pytest.approx(float(oracle), rel=1e-12), (alpha, u, eta)
+
+
 def test_plane_harmonic_many_matches_rows():
     # one array call over all rows gives each row's value
     for D, X in ((ge.PlanarSet.box((0.0, 1.0), (-1.0,), (1.0,)),
